@@ -11,13 +11,14 @@
 //       probe of a suspect, a false suspicion of an isolated process can
 //       only be cleared indirectly. Ablation: recovery_every = 0.
 //
-// Metrics come from the fd/qos.hpp module: false-suspicion episodes and
-// query accuracy over a long run.
+// Metrics come from obs::QosScoreboard over the recorded suspicion
+// transitions (sim_qos.hpp): false-suspicion episodes and query accuracy
+// over a long run.
 
 #include "fd/heartbeat_p.hpp"
-#include "fd/qos.hpp"
 #include "fd/ring_fd.hpp"
 #include "net/scenario.hpp"
+#include "sim_qos.hpp"
 #include "table.hpp"
 
 namespace {
@@ -25,7 +26,7 @@ namespace {
 using namespace ecfd;
 
 struct Metrics {
-  int episodes{};
+  std::int64_t episodes{};
   double accuracy{};
   bool settled{};  ///< no suspicions of correct processes at the end
 };
@@ -43,25 +44,19 @@ Metrics run(std::uint64_t seed, InstallFn install) {
   // producing false suspicions forever while an adaptive one stops.
   cfg.delta = msec(40);
   auto sys = make_system(cfg);
+  obs::Recorder rec(obs::Recorder::kStateDepth);
+  sys->attach_recorder(&rec);
 
   std::vector<const SuspectOracle*> oracles(5, nullptr);
   install(*sys, oracles);
-  FdProbe probe(*sys, msec(10));
-  for (ProcessId p = 0; p < 5; ++p) probe.attach(p, oracles[static_cast<std::size_t>(p)], nullptr);
   const TimeUs horizon = sec(20);
-  probe.start(horizon);
   sys->start();
   sys->run_until(horizon);
 
-  RunFacts facts;
-  facts.n = 5;
-  facts.correct = ProcessSet::full(5);
-  facts.end_time = horizon;
-  const QosReport q = compute_qos(facts, {}, probe.samples());
-
+  const bench::QosTotals q = bench::totals_of(bench::qos_of(rec, horizon));
   Metrics m;
-  m.episodes = q.mistake_episodes;
-  m.accuracy = q.query_accuracy;
+  m.episodes = q.mistakes;
+  m.accuracy = q.accuracy;
   m.settled = true;
   for (ProcessId p = 0; p < 5; ++p) {
     if (!oracles[static_cast<std::size_t>(p)]->suspected().empty()) m.settled = false;
@@ -75,7 +70,7 @@ int main(int argc, char** argv) {
   ecfd::bench::init(argc, argv, "a1_adaptivity_ablation");
   ecfd::bench::section("A1: adaptivity ablation (timeout widening, ring recovery)");
   std::cout << "n=5, failure-free, post-GST delta=40ms vs initial timeout "
-               "30ms, 20s run. QoS over sampled outputs.\n";
+               "30ms, 20s run. QoS from recorded transitions.\n";
 
   ecfd::bench::Table table({"detector", "variant", "mistakes", "accuracy%",
                             "settled"}, 16);
@@ -108,13 +103,13 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "\nShape check: removing timeout adaptation keeps the "
-               "mistake stream alive for the whole run (orders of "
-               "magnitude more episodes, lower accuracy, typically "
-               "unsettled at the end) — the adaptivity every Theorem here "
-               "relies on. The ring's recovery polls, by contrast, measure "
-               "as redundant in this scenario: a falsely suspected process "
-               "washes itself clean through its own outgoing polls, so the "
-               "mechanism is belt-and-braces for gossip-path corner "
-               "cases.\n";
+               "mistake stream alive for the whole run (an order of "
+               "magnitude more episodes, lower accuracy) — the adaptivity "
+               "every Theorem here relies on. The ring's recovery polls, by "
+               "contrast, matter little in this scenario: a falsely "
+               "suspected process washes itself clean through its own "
+               "outgoing polls, so dropping them costs only a few extra "
+               "episodes and the mechanism is belt-and-braces for "
+               "gossip-path corner cases.\n";
   return ecfd::bench::finish();
 }

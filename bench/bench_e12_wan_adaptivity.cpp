@@ -7,12 +7,15 @@
 // pays only a safety margin α on top — so after a transient disturbance
 // (a gray window that heals, a link whose jitter spiked) the static
 // schedule keeps its inflated timeout while the adaptive one re-converges
-// to the observed arrival process. This bench measures that difference:
+// to the observed arrival process. This bench measures that difference,
+// from the recorded suspicion transitions through obs::QosScoreboard
+// (sim_qos.hpp):
 //
-//   detect_ms  — crash → every correct process suspects the victim
-//                (QosReport::Detection::all_suspect_delay, mean over seeds)
-//   mistakes   — false-suspicion episodes among correct processes
-//   accuracy%  — fraction of samples with no correct process suspected
+//   detect_ms  — crash → every correct process suspects the victim (the
+//                slowest observer's T_D, mean over seeds)
+//   mistakes   — closed false-suspicion episodes at correct observers,
+//                including suspicions of the victim while it was alive
+//   accuracy%  — per-pair query accuracy P_A, mean over correct observers
 //
 // Profiles mirror the fuzzer's WAN pack:
 //   lan   control: partial synchrony, 5 ms post-GST delta — both variants
@@ -31,10 +34,12 @@
 //         the adaptive deadline hugs the real cadence while the static
 //         one still waits the full provisioned constant.
 
+#include <algorithm>
+
 #include "fd/heartbeat_p.hpp"
-#include "fd/qos.hpp"
 #include "net/geo.hpp"
 #include "net/scenario.hpp"
+#include "sim_qos.hpp"
 #include "table.hpp"
 
 namespace {
@@ -83,6 +88,8 @@ struct Outcome {
 
 Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
   auto sys = make_system(scenario(prof, seed));
+  obs::Recorder rec(obs::Recorder::kStateDepth);
+  sys->attach_recorder(&rec);
 
   switch (prof) {
     case Profile::kGray: {
@@ -106,7 +113,6 @@ Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
       break;
   }
 
-  std::vector<const SuspectOracle*> oracles(kN, nullptr);
   for (ProcessId p = 0; p < kN; ++p) {
     fd::HeartbeatP::Config hc;
     // On the WAN both variants get the same conservatively provisioned
@@ -117,36 +123,31 @@ Outcome run(Profile prof, bool adaptive, std::uint64_t seed) {
       hc.adaptive = true;
       hc.predictor.fallback_timeout = hc.initial_timeout;
     }
-    oracles[static_cast<std::size_t>(p)] =
-        &sys->host(p).emplace<fd::HeartbeatP>(hc);
+    sys->host(p).emplace<fd::HeartbeatP>(hc);
   }
 
-  FdProbe probe(*sys, msec(5));
-  for (ProcessId p = 0; p < kN; ++p) {
-    probe.attach(p, oracles[static_cast<std::size_t>(p)], nullptr);
-  }
-  probe.start(kHorizon);
   sys->crash_at(kVictim, kCrashAt);
   sys->start();
   sys->run_until(kHorizon);
 
-  RunFacts facts;
-  facts.n = kN;
-  facts.correct = ProcessSet::full(kN);
-  facts.correct.remove(kVictim);
-  facts.end_time = kHorizon;
-  const QosReport q =
-      compute_qos(facts, {{kVictim, kCrashAt}}, probe.samples());
-
+  const obs::QosScoreboard sb =
+      bench::qos_of(rec, kHorizon, {{kVictim, kCrashAt}});
+  // An observer that never detects the victim is charged the whole
+  // post-crash horizon.
+  double detect_us = 0;
+  for (ProcessId p = 0; p < kN; ++p) {
+    if (p == kVictim) continue;
+    const obs::QosCell& c = sb.cell(p, kVictim);
+    detect_us = std::max(detect_us,
+                         c.detections > 0
+                             ? c.mean_detection_us()
+                             : static_cast<double>(kHorizon - kCrashAt));
+  }
+  const bench::QosTotals t = bench::totals_of(sb);
   Outcome o;
-  const DurUs fallback = kHorizon - kCrashAt;
-  o.detect_ms = static_cast<double>(
-                    q.detections.empty()
-                        ? fallback
-                        : q.detections[0].all_suspect_delay.value_or(fallback)) /
-                1000.0;
-  o.mistakes = q.mistake_episodes;
-  o.accuracy = 100.0 * q.query_accuracy;
+  o.detect_ms = detect_us / 1000.0;
+  o.mistakes = static_cast<double>(t.mistakes);
+  o.accuracy = 100.0 * t.accuracy;
   return o;
 }
 

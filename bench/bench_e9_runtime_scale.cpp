@@ -1,14 +1,10 @@
 // E9: threaded-runtime scale. Wall-clock throughput, send->deliver latency
-// and heartbeat jitter of the sharded executor at n in {64, 256, 1024},
-// against the legacy thread-per-process executor at n=64 (the largest size
-// the old design handles comfortably; beyond that it needs one OS thread
-// per host and a global routing lock).
+// and heartbeat jitter of the sharded executor at n in {64, 256, 1024}.
 //
 // Unlike E1-E8 these numbers are wall-clock measurements on a live
 // machine, not deterministic simulation: rerunning moves them. The
 // checked-in BENCH_RUNTIME.json baseline is therefore compared by SCHEMA
-// (sections/headers present) in CI, never by value; the headline ratios
-// (sharded vs legacy msgs/sec) are what code review should watch.
+// (sections/headers present) in CI, never by value.
 //
 // Flags: --quick (shorter windows, used by the CI perf-smoke job) and the
 // table.hpp-standard --json FILE.
@@ -184,14 +180,13 @@ struct StormResult {
   int workers{0};
 };
 
-StormResult run_storm(bool legacy, int n, std::uint64_t seed, int warm_ms,
+StormResult run_storm(int n, std::uint64_t seed, int warm_ms,
                       int window_ms) {
   ThreadSystem::Config cfg;
   cfg.n = n;
   cfg.seed = seed;
   cfg.min_delay = 0;
   cfg.max_delay = 0;
-  cfg.legacy_thread_per_process = legacy;
   // Declared before the system so they outlive the worker threads that the
   // ThreadSystem destructor joins.
   auto hops = std::make_unique<std::atomic<std::int64_t>>(0);
@@ -216,7 +211,7 @@ StormResult run_storm(bool legacy, int n, std::uint64_t seed, int warm_ms,
   r.p50 = hist->percentile(0.50);
   r.p95 = hist->percentile(0.95);
   r.p99 = hist->percentile(0.99);
-  r.workers = legacy ? n : sys.workers();
+  r.workers = sys.workers();
   return r;
 }
 
@@ -226,14 +221,13 @@ struct JitterResult {
   std::int64_t max_us{0};
 };
 
-JitterResult run_beacon(bool legacy, int n, std::uint64_t seed, int warm_ms,
+JitterResult run_beacon(int n, std::uint64_t seed, int warm_ms,
                         int window_ms) {
   ThreadSystem::Config cfg;
   cfg.n = n;
   cfg.seed = seed;
   cfg.min_delay = usec(500);  // fixed link delay: deviations are pure
   cfg.max_delay = usec(500);  // executor/timer jitter
-  cfg.legacy_thread_per_process = legacy;
   auto jitter = std::make_unique<Hist>();
   auto recording = std::make_unique<std::atomic<bool>>(false);
   ThreadSystem sys(cfg);
@@ -270,46 +264,28 @@ int main(int argc, char** argv) {
   std::cout << "E9: threaded runtime scale (wall-clock; "
             << (quick ? "quick" : "full") << " windows; "
             << std::thread::hardware_concurrency() << " hardware threads)\n";
-  std::cout << "legacy = one OS thread per host + global route lock; "
-               "sharded = M workers, mailboxes, timer wheels\n";
 
-  struct Case {
-    bool legacy;
-    int n;
-  };
-  // Legacy beyond n=64 is deliberately not run: hundreds of OS threads on
-  // one fabric lock is exactly the regime the sharded executor replaces.
-  const Case cases[] = {{true, 64}, {false, 64}, {false, 256}, {false, 1024}};
+  const int sizes[] = {64, 256, 1024};
 
   bench::section("E9 throughput and send->deliver latency (token ring)");
-  bench::Table tput({"mode", "n", "workers", "msgs_per_sec", "p50_us",
-                     "p95_us", "p99_us"});
+  bench::Table tput({"n", "workers", "msgs_per_sec", "p50_us", "p95_us",
+                     "p99_us"});
   tput.print_header();
-  double legacy64 = 0, sharded64 = 0;
-  for (const Case& c : cases) {
-    const StormResult r =
-        run_storm(c.legacy, c.n, 0x9e3779b9, storm_warm, storm_window);
-    tput.print_row(c.legacy ? "legacy" : "sharded", c.n, r.workers,
-                   r.msgs_per_sec, r.p50, r.p95, r.p99);
-    if (c.n == 64) (c.legacy ? legacy64 : sharded64) = r.msgs_per_sec;
+  for (const int n : sizes) {
+    const StormResult r = run_storm(n, 0x9e3779b9, storm_warm, storm_window);
+    tput.print_row(n, r.workers, r.msgs_per_sec, r.p50, r.p95, r.p99);
   }
 
   bench::section("E9 heartbeat jitter (fixed 500us link, 20ms period)");
-  bench::Table jit({"mode", "n", "mean_jitter_us", "p95_jitter_us",
-                    "max_jitter_us"});
+  bench::Table jit({"n", "mean_jitter_us", "p95_jitter_us",
+                    "max_jitter_us"},
+                   16);
   jit.print_header();
-  for (const Case& c : cases) {
+  for (const int n : sizes) {
     const JitterResult r =
-        run_beacon(c.legacy, c.n, 0x2545f491, beacon_warm, beacon_window);
-    jit.print_row(c.legacy ? "legacy" : "sharded", c.n, r.mean_us, r.p95_us,
-                  r.max_us);
+        run_beacon(n, 0x2545f491, beacon_warm, beacon_window);
+    jit.print_row(n, r.mean_us, r.p95_us, r.max_us);
   }
-
-  bench::section("E9 headline: sharded vs legacy at n=64");
-  bench::Table head({"metric", "legacy", "sharded", "ratio"});
-  head.print_header();
-  head.print_row("msgs_per_sec", legacy64, sharded64,
-                 legacy64 > 0 ? sharded64 / legacy64 : 0.0);
 
   return bench::finish();
 }

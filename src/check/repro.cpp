@@ -1,5 +1,6 @@
 #include "check/repro.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -359,7 +360,7 @@ std::optional<ReproFile> parse_repro(const std::string& text,
         if (until == nullptr || !to_i64(*until, e.until) || p == nullptr ||
             !to_i64(*p, pid) || pid < 0 || pid >= r.config.n ||
             factor == nullptr || !to_u64(*factor, factor_v) ||
-            factor_v == 0 || extra == nullptr ||
+            factor_v == 0 || factor_v > UINT32_MAX || extra == nullptr ||
             !to_i64(*extra, e.gray_send_extra)) {
           fail(error, "gray event with bad fields");
           return std::nullopt;
@@ -380,7 +381,9 @@ std::optional<ReproFile> parse_repro(const std::string& text,
             offset == nullptr || !to_i64(*offset, e.skew_offset) ||
             drift == nullptr || !to_i64(*drift, drift_v) ||
             drift_v <= -1'000'000 || drift_v >= 1'000'000 ||
-            bound == nullptr || !to_i64(*bound, e.skew_bound)) {
+            bound == nullptr || !to_i64(*bound, e.skew_bound) ||
+            e.skew_bound <= 0 || e.skew_offset > e.skew_bound ||
+            e.skew_offset < -e.skew_bound) {
           fail(error, "skew event with bad fields");
           return std::nullopt;
         }

@@ -57,8 +57,6 @@ class ConsensusProtocol : public Protocol {
     if (decision_.has_value()) return;
     decision_ = Decision{v, round, env_.now()};
     env_.record(EventType::kDecide, round, v);
-    env_.trace("consensus.decide",
-               "v=" + std::to_string(v) + " r=" + std::to_string(round));
     if (on_decide_) (*on_decide_)(*decision_);
   }
 

@@ -45,7 +45,6 @@ void EfficientP::tick() {
       if (!local_list_.contains(q) && now - last_alive_[i] > alive_timeout_[i]) {
         local_list_.add(q);
         env_.record(EventType::kSuspect, q);
-        env_.trace("effp.suspect", "p" + std::to_string(q));
       }
     }
     // ...and publish it piggybacked on the leadership beat (Omega
@@ -60,7 +59,6 @@ void EfficientP::tick() {
       candidate_susp_.add(candidate);
       env_.record(EventType::kSuspect, candidate);
       env_.record(EventType::kLeaderChange, trusted());
-      env_.trace("effp.candidate_suspect", "p" + std::to_string(candidate));
     }
     // Report alive to the (possibly new) candidate (Fig. 2, Task 2).
     const ProcessId target = trusted();
@@ -82,7 +80,6 @@ void EfficientP::on_message(const Message& m) {
         beat_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
         env_.record(EventType::kLeaderChange, trusted());
-        env_.trace("effp.rollback", "p" + std::to_string(m.src));
       }
       // Adopt the list only from our current candidate (Fig. 2, Task 5).
       if (m.src == trusted()) {
@@ -98,7 +95,6 @@ void EfficientP::on_message(const Message& m) {
         local_list_.remove(m.src);
         alive_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("effp.unsuspect", "p" + std::to_string(m.src));
       }
       break;
     }

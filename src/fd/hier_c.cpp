@@ -109,7 +109,6 @@ void HierC::tick() {
       if (!cell_report_.contains(q) && now - last_alive_[i] > alive_timeout_[i]) {
         cell_report_.add(q);
         env_.record(EventType::kSuspect, q);
-        env_.trace("hier.suspect", "p" + std::to_string(q));
       }
     }
 
@@ -194,7 +193,6 @@ void HierC::tick() {
     if (now - last_beat_[i] > beat_timeout_[i]) {
       cell_cand_susp_.add(cand);
       env_.record(EventType::kSuspect, cand);
-      env_.trace("hier.cand_suspect", "p" + std::to_string(cand));
     }
     const ProcessId target = cell_candidate();
     if (target != env_.self()) {
@@ -216,7 +214,6 @@ void HierC::on_message(const Message& m) {
         cell_cand_susp_.remove(m.src);
         beat_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("hier.rollback", "p" + std::to_string(m.src));
       }
       if (m.src == cell_candidate()) {
         const auto& d = m.as<HierDigest>();
@@ -237,7 +234,6 @@ void HierC::on_message(const Message& m) {
         cell_report_.remove(m.src);
         alive_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
-        env_.trace("hier.unsuspect", "p" + std::to_string(m.src));
       }
       break;
     }

@@ -44,7 +44,6 @@ void LeaderCandidate::tick() {
       suspected_.add(candidate);
       env_.record(EventType::kSuspect, candidate);
       env_.record(EventType::kLeaderChange, trusted());
-      env_.trace("lc.suspect", "p" + std::to_string(candidate));
     }
   }
   env_.set_timer(cfg_.period, [this]() { tick(); });
@@ -61,7 +60,6 @@ void LeaderCandidate::on_message(const Message& m) {
     timeout_[i] += cfg_.timeout_increment;
     env_.record(EventType::kUnsuspect, m.src);
     env_.record(EventType::kLeaderChange, trusted());
-    env_.trace("lc.rollback", "p" + std::to_string(m.src));
   }
 }
 

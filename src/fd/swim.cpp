@@ -106,7 +106,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
         // post-GST mistakes stay finite (eventual strong accuracy).
         ack_timeout_ += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, p);
-        env_.trace("swim.unsuspect", "p" + std::to_string(p));
       }
       applied = true;
       break;
@@ -118,7 +117,6 @@ bool SwimFd::apply_update(const SwimUpdate& u) {
         if (cur_state == kAlive) {
           suspected_.add(p);
           env_.record(EventType::kSuspect, p);
-          env_.trace("swim.suspect", "p" + std::to_string(p));
         }
         applied = true;
       }

@@ -386,7 +386,6 @@ void KvService::lease_tick() {
       env_.record(EventType::kLeaseGrant, env_.self(), lease_term_);
       if (m_lease_grants_)
         m_lease_grants_->fetch_add(1, std::memory_order_relaxed);
-      env_.trace("kv.lease_grant", "term=" + std::to_string(lease_term_));
     }
   } else {
     trusted_self_since_ = kTimeNever;
@@ -395,7 +394,6 @@ void KvService::lease_tick() {
       env_.record(EventType::kLeaseRevoke, env_.self(), lease_term_);
       if (m_lease_revokes_)
         m_lease_revokes_->fetch_add(1, std::memory_order_relaxed);
-      env_.trace("kv.lease_revoke", "term=" + std::to_string(lease_term_));
     }
   }
   refresh_gauges();

@@ -56,8 +56,14 @@ class Env {
   /// Per-process deterministic random stream.
   virtual Rng& rng() = 0;
 
-  /// Emits a trace record (no-op unless tracing is enabled).
-  virtual void trace(const std::string& tag, const std::string& detail) = 0;
+  /// Records a free-text note as a kNote event (tag and detail interned in
+  /// the recorder; no-op unless recording). Cold paths only, and only for
+  /// facts no typed event carries.
+  virtual void trace(const std::string& tag, const std::string& detail) {
+    if (!recording()) return;
+    record(EventType::kNote, -1, obs_recorder_->intern(detail),
+           obs_recorder_->intern(tag));
+  }
 
   /// Sends \p m to every process except self.
   void broadcast(Message m) {

@@ -6,12 +6,11 @@
 namespace ecfd {
 
 Network::Network(sim::Scheduler& sched, int n, Rng rng,
-                 sim::Counters& counters, sim::Trace& trace)
+                 sim::Counters& counters)
     : sched_(sched),
       n_(n),
       rng_(rng),
       counters_(counters),
-      trace_(trace),
       links_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
       blocked_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0) {
   assert(n > 0);
@@ -125,11 +124,6 @@ void Network::send(const Message& m) {
       counters_.add(message_counter_key(m) + ".dropped");
     }
     return;
-  }
-
-  if (trace_.enabled()) {
-    trace_.emit(sched_.now(), m.src, "net.send",
-                std::string(m.label) + " -> p" + std::to_string(m.dst));
   }
 
   // Copy the message into the closure; the payload is shared (one pooled

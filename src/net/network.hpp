@@ -10,7 +10,6 @@
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 /// \file network.hpp
 /// The simulated message-passing fabric: n processes, one LinkModel per
@@ -24,8 +23,7 @@ class Network {
  public:
   using DeliverySink = std::function<void(const Message&)>;
 
-  Network(sim::Scheduler& sched, int n, Rng rng, sim::Counters& counters,
-          sim::Trace& trace);
+  Network(sim::Scheduler& sched, int n, Rng rng, sim::Counters& counters);
 
   [[nodiscard]] int n() const { return n_; }
 
@@ -104,7 +102,6 @@ class Network {
   int n_;
   Rng rng_;
   sim::Counters& counters_;
-  sim::Trace& trace_;
   obs::Recorder* recorder_{nullptr};
   DeliverySink sink_;
   std::vector<std::unique_ptr<LinkModel>> links_;

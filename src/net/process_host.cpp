@@ -1,15 +1,13 @@
 #include "net/process_host.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
 namespace ecfd {
 
 ProcessHost::ProcessHost(ProcessId id, int n, sim::Scheduler& sched,
-                         Network& network, sim::Trace& trace, Rng rng)
-    : id_(id), n_(n), sched_(sched), network_(network), trace_(trace),
-      rng_(rng) {}
+                         Network& network, Rng rng)
+    : id_(id), n_(n), sched_(sched), network_(network), rng_(rng) {}
 
 void ProcessHost::add_protocol(std::unique_ptr<Protocol> proto) {
   assert(proto != nullptr);
@@ -29,7 +27,6 @@ void ProcessHost::crash() {
   crash_time_ = sched_.now();
   for (TimerId t : live_timers_) sched_.cancel(t);
   live_timers_.clear();
-  if (trace_.enabled()) trace_.emit(sched_.now(), id_, "crash", "");
   record(EventType::kCrash);
 }
 
@@ -49,28 +46,18 @@ Protocol* ProcessHost::protocol(ProtocolId id) const {
 void ProcessHost::set_gray(std::uint32_t factor_milli, DurUs send_extra) {
   if (crashed_) return;
   assert(factor_milli > 0);
-  gray_factor_milli_ = factor_milli;
-  gray_send_extra_ = send_extra;
+  fault_.gray_factor_milli = factor_milli;
+  fault_.gray_send_extra = send_extra;
 }
 
 void ProcessHost::set_clock_skew(std::int64_t offset_us,
                                  std::int32_t drift_ppm, DurUs bound_us) {
   if (crashed_) return;
   assert(drift_ppm > -1'000'000);
-  skew_offset_ = offset_us;
-  skew_drift_ppm_ = drift_ppm;
-  skew_bound_ = bound_us;
-  skew_since_ = sched_.now();
-  skew_active_ = offset_us != 0 || drift_ppm != 0;
-}
-
-std::int64_t ProcessHost::clock_error() const {
-  if (!skew_active_) return 0;
-  const TimeUs t = sched_.now();
-  std::int64_t e =
-      skew_offset_ + skew_drift_ppm_ * (t - skew_since_) / 1'000'000;
-  if (skew_bound_ > 0) e = std::clamp<std::int64_t>(e, -skew_bound_, skew_bound_);
-  return e;
+  fault_.skew_offset = offset_us;
+  fault_.skew_drift_ppm = drift_ppm;
+  fault_.skew_bound = bound_us;
+  fault_.skew_since = sched_.now();
 }
 
 void ProcessHost::send(ProcessId dst, Message m) {
@@ -79,11 +66,11 @@ void ProcessHost::send(ProcessId dst, Message m) {
   m.src = id_;
   m.dst = dst;
   record(EventType::kSend, dst, m.protocol);
-  if (gray_send_extra_ > 0) {
+  if (fault_.gray_send_extra > 0) {
     // The gray NIC: the message leaves the protocol now but only enters
     // the network after the extra latency — unless the host crashed in
     // the meantime (a crash-stop host sends nothing after the crash).
-    sched_.schedule_after(gray_send_extra_, [this, m] {
+    sched_.schedule_after(fault_.gray_send_extra, [this, m] {
       if (!crashed_) network_.send(m);
     });
     return;
@@ -93,14 +80,7 @@ void ProcessHost::send(ProcessId dst, Message m) {
 
 TimerId ProcessHost::set_timer(DurUs delay, std::function<void()> fn) {
   if (crashed_) return kInvalidTimer;
-  if (gray_factor_milli_ != 1000) {
-    delay = delay * static_cast<DurUs>(gray_factor_milli_) / 1000;
-  }
-  if (skew_active_ && skew_drift_ppm_ != 0) {
-    // `delay` is a local-clock duration; convert to true time so a fast
-    // local clock (positive drift) fires early and a slow one late.
-    delay = delay * 1'000'000 / (1'000'000 + skew_drift_ppm_);
-  }
+  delay = fault_.timer_delay(delay);
   // The wrapper removes its own id from the live set when it fires; the
   // queue discloses the id it will assign, so the closure can carry it by
   // value instead of through a heap-allocated cell.
@@ -122,15 +102,6 @@ void ProcessHost::cancel_timer(TimerId id) {
   sched_.cancel(id);
   live_timers_.erase(id);
   record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
-}
-
-void ProcessHost::trace(const std::string& tag, const std::string& detail) {
-  if (trace_.enabled()) trace_.emit(sched_.now(), id_, tag, detail);
-  if (recording()) {
-    // Cold path by contract: trace() callers already pay string building.
-    record(EventType::kNote, -1, recorder()->intern(detail),
-           recorder()->intern(tag));
-  }
 }
 
 }  // namespace ecfd

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/env.hpp"
+#include "net/faults.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -19,7 +20,7 @@ namespace ecfd {
 class ProcessHost final : public Env {
  public:
   ProcessHost(ProcessId id, int n, sim::Scheduler& sched, Network& network,
-              sim::Trace& trace, Rng rng);
+              Rng rng);
 
   /// Registers a protocol instance. The host owns it. Protocol ids must be
   /// unique within a host.
@@ -60,9 +61,7 @@ class ProcessHost final : public Env {
   /// protocols' self-rearming timers pick the factor up on the next arm,
   /// which is exactly the creep a degraded-but-alive host exhibits.
   void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const {
-    return gray_factor_milli_ != 1000 || gray_send_extra_ != 0;
-  }
+  [[nodiscard]] bool gray() const { return fault_.gray(); }
 
   /// Clock skew: the local clock reads true time + offset + drift, where
   /// drift accumulates at drift_ppm from the moment of the call. The total
@@ -76,7 +75,9 @@ class ProcessHost final : public Env {
   void clear_clock_skew() { set_clock_skew(0, 0, 0); }
 
   /// Signed local-minus-true clock error right now (0 without skew).
-  [[nodiscard]] std::int64_t clock_error() const;
+  [[nodiscard]] std::int64_t clock_error() const {
+    return fault_.clock_error(sched_.now());
+  }
 
   // --- Env interface -------------------------------------------------
   [[nodiscard]] TimeUs now() const override {
@@ -88,24 +89,16 @@ class ProcessHost final : public Env {
   [[nodiscard]] ProcessId self() const override { return id_; }
   [[nodiscard]] int n() const override { return n_; }
   Rng& rng() override { return rng_; }
-  void trace(const std::string& tag, const std::string& detail) override;
 
  private:
   ProcessId id_;
   int n_;
   sim::Scheduler& sched_;
   Network& network_;
-  sim::Trace& trace_;
   Rng rng_;
   bool crashed_{false};
   TimeUs crash_time_{kTimeNever};
-  std::uint32_t gray_factor_milli_{1000};
-  DurUs gray_send_extra_{0};
-  bool skew_active_{false};
-  std::int64_t skew_offset_{0};
-  std::int32_t skew_drift_ppm_{0};
-  DurUs skew_bound_{0};
-  TimeUs skew_since_{0};
+  FaultSpec fault_;
   std::vector<std::unique_ptr<Protocol>> owned_;
   std::unordered_map<ProtocolId, Protocol*> by_id_;
   std::unordered_set<TimerId> live_timers_;

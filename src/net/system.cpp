@@ -7,12 +7,12 @@ namespace ecfd {
 System::System(int n, std::uint64_t seed)
     : n_(n),
       master_rng_(seed),
-      network_(sched_, n, master_rng_.split(), counters_, trace_) {
+      network_(sched_, n, master_rng_.split(), counters_) {
   assert(n > 0);
   hosts_.reserve(static_cast<std::size_t>(n));
   for (ProcessId p = 0; p < n; ++p) {
     hosts_.push_back(std::make_unique<ProcessHost>(
-        p, n, sched_, network_, trace_, master_rng_.split()));
+        p, n, sched_, network_, master_rng_.split()));
   }
   network_.set_sink([this](const Message& m) {
     hosts_[static_cast<std::size_t>(m.dst)]->deliver(m);

@@ -9,7 +9,6 @@
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 /// \file system.hpp
 /// The top-level simulation harness: scheduler + network + n process hosts
@@ -27,7 +26,6 @@ class System {
   sim::Scheduler& scheduler() { return sched_; }
   Network& network() { return network_; }
   sim::Counters& counters() { return counters_; }
-  sim::Trace& trace() { return trace_; }
 
   /// Attaches a typed event recorder: binds one ring per host (and stamps
   /// the recorder's meta as a virtual-clock "sim" source). Call before
@@ -84,7 +82,6 @@ class System {
   int n_;
   sim::Scheduler sched_;
   sim::Counters counters_;
-  sim::Trace trace_;
   Rng master_rng_;
   Network network_;
   std::vector<std::unique_ptr<ProcessHost>> hosts_;

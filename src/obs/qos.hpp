@@ -18,15 +18,15 @@
 ///   P_A   query accuracy       — probability a random query about a
 ///                                correct peer answers "not suspected"
 ///
-/// fd/qos.hpp computes the same family offline from probe *samples*; this
-/// class is the production counterpart: it folds kSuspect / kUnsuspect /
-/// kCrash state-ring transitions as they happen, so a live ecfd_node can
-/// serve the numbers from its metrics endpoint and ecfd_trace --qos can
-/// replay any merged timeline into the same scoreboard. Crash times come
-/// from kCrash events when the backend records them (the simulator does) or
-/// from note_crash() when the caller knows ground truth (the fuzzer's fault
-/// schedule); without either, detection columns stay empty and the mistake
-/// metrics remain exact — an unretracted suspicion is never presumed false.
+/// It folds kSuspect / kUnsuspect / kCrash state-ring transitions as they
+/// happen, so a live ecfd_node can serve the numbers from its metrics
+/// endpoint, ecfd_trace --qos can replay any merged timeline into the same
+/// scoreboard, and the QoS benches (A1, E12) read simulated runs through
+/// it. Crash times come from kCrash events when the backend records them
+/// (the simulator does) or from note_crash() when the caller knows ground
+/// truth (the fuzzer's fault schedule); without either, detection columns
+/// stay empty and the mistake metrics remain exact — an unretracted
+/// suspicion is never presumed false.
 ///
 /// Ingest is allocation-free after construction and must see each
 /// observer's events in nondecreasing time order (rings and merged

@@ -5,13 +5,12 @@
 
 #include "consensus/harness.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 /// \file fingerprint.hpp
 /// Order-sensitive digests of simulation runs.
 ///
-/// A fingerprint folds everything observable about a run — counters, trace
-/// events, decision times, events fired — into one 64-bit FNV-1a hash. Two
+/// A fingerprint folds everything observable about a run — counters,
+/// decision times, events fired — into one 64-bit FNV-1a hash. Two
 /// runs of the same scenario and seed must produce the same fingerprint on
 /// any thread, any build, and across refactors of the simulation kernel;
 /// the determinism suite (tests/test_determinism.cpp) and the parallel
@@ -43,9 +42,6 @@ class Fnv1a {
 
 /// Digest of every counter, key and value, in sorted-key order.
 std::uint64_t fingerprint_counters(const sim::Counters& counters);
-
-/// Digest of every trace event in emission order.
-std::uint64_t fingerprint_trace(const sim::Trace& trace);
 
 /// Digest of a consensus harness result (outcomes, rounds, times, message
 /// totals, counters, events fired).

@@ -6,14 +6,13 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <queue>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/env.hpp"
+#include "net/faults.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/timer_wheel.hpp"
 
@@ -32,10 +31,7 @@
 /// hierarchical timer wheel (O(1) schedule/cancel, no tombstones) and its
 /// own RNG stream for delay/loss injection (no global routing lock), and
 /// every deferred action is a sim::InplaceAction, so the steady-state
-/// heartbeat path performs zero heap allocations. Config's
-/// `legacy_thread_per_process` escape hatch keeps the pre-sharding
-/// one-thread-per-host executor for one release (and as the bench_e9
-/// baseline).
+/// heartbeat path performs zero heap allocations.
 ///
 /// Unlike the simulator, execution is nondeterministic; tests against this
 /// runtime assert eventual properties with generous deadlines.
@@ -55,14 +51,11 @@ struct TraceRecord {
   std::string detail;
 };
 
-/// One process: protocols plus an Env implementation. In the sharded
-/// executor the host is a passive mailbox + timer bookkeeping owned by a
-/// Worker; in legacy mode it owns a thread draining a deadline-ordered
-/// work queue (the pre-sharding design).
+/// One process: protocols plus an Env implementation. The host is a
+/// passive mailbox + timer bookkeeping owned by a Worker.
 class ThreadHost final : public Env {
  public:
   ThreadHost(ThreadSystem& sys, ProcessId id, int n, std::uint64_t seed);
-  ~ThreadHost() override;
 
   ThreadHost(const ThreadHost&) = delete;
   ThreadHost& operator=(const ThreadHost&) = delete;
@@ -96,10 +89,7 @@ class ThreadHost final : public Env {
   /// mirrors sim::ProcessHost::set_gray so the same scenario drives both
   /// runtimes.
   void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const {
-    return gray_factor_milli_.load(std::memory_order_acquire) != 1000 ||
-           gray_send_extra_.load(std::memory_order_acquire) != 0;
-  }
+  [[nodiscard]] bool gray() const { return fault().gray(); }
 
   /// Bounded clock skew: now() reads offset + drift_ppm-scaled elapsed
   /// time ahead of (or behind) the fabric clock, clamped to ±bound_us
@@ -119,9 +109,9 @@ class ThreadHost final : public Env {
     return live_timers_.load(std::memory_order_acquire);
   }
 
-  /// Internal bookkeeping entries that outlive their timer (legacy
-  /// tombstones, cross-thread timer indirections). Must also drop to 0
-  /// after quiescence on a live host.
+  /// Internal bookkeeping entries that outlive their timer (cross-thread
+  /// timer indirections). Must also drop to 0 after quiescence on a live
+  /// host.
   [[nodiscard]] std::size_t bookkeeping_records() const;
 
   /// The last recorded state-transition events, oldest first, rendered to
@@ -138,7 +128,6 @@ class ThreadHost final : public Env {
   [[nodiscard]] ProcessId self() const override { return id_; }
   [[nodiscard]] int n() const override { return n_; }
   Rng& rng() override { return rng_; }
-  void trace(const std::string& tag, const std::string& detail) override;
 
  private:
   friend class ThreadSystem;
@@ -149,6 +138,9 @@ class ThreadHost final : public Env {
   /// all: a plain wheel handle IS the TimerId.
   static constexpr TimerId kForeignTimerBit = TimerId{1} << 63;
 
+  /// The fault state as plain values (skew fields zero while inactive).
+  [[nodiscard]] FaultSpec fault() const;
+
   // --- sharded-executor internals (owner-thread unless noted) ---------
   [[nodiscard]] bool on_owner_thread() const;
   void enqueue(TimeUs when, sim::InplaceAction fn);  // any thread
@@ -156,40 +148,6 @@ class ThreadHost final : public Env {
   TimerId arm_on_owner(TimeUs when, std::function<void()> fn);
   void arm_foreign(TimerId fid, TimeUs when, std::function<void()> fn);
   void cancel_on_owner(TimerId id);
-
-  // --- legacy (one-thread-per-host) internals -------------------------
-  struct Work {
-    TimeUs when{};
-    std::uint64_t seq{};
-    TimerId timer{kInvalidTimer};
-    std::function<void()> fn;
-  };
-  struct WorkLater {
-    bool operator()(const Work& a, const Work& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-  struct LegacyState {
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::priority_queue<Work, std::vector<Work>, WorkLater> queue;
-    /// Timers armed and not yet fired/cancelled. cancel_timer only
-    /// tombstones ids still in here, which fixes the old leak where
-    /// cancelling an already-fired timer grew `cancelled` forever.
-    std::unordered_set<TimerId> pending;
-    std::unordered_set<TimerId> cancelled;
-    std::uint64_t next_seq{1};
-    TimerId next_timer{1};
-    bool stopping{false};
-    std::thread thread;
-  };
-  void legacy_post_at(TimeUs when, std::function<void()> fn);
-  TimerId legacy_set_timer(DurUs delay, std::function<void()> fn);
-  void legacy_cancel_timer(TimerId id);
-  void legacy_run_loop();
-  void start_thread();  // legacy only
-  void stop_thread();   // legacy only
 
   ThreadSystem& sys_;
   ProcessId id_;
@@ -219,8 +177,6 @@ class ThreadHost final : public Env {
   std::unordered_map<TimerId, WheelHandle> foreign_timers_;  // owner thread
   std::atomic<std::size_t> foreign_records_{0};
   std::atomic<std::uint64_t> foreign_seq_{1};
-
-  std::unique_ptr<LegacyState> legacy_;
 
   std::vector<std::unique_ptr<Protocol>> owned_;
   std::unordered_map<ProtocolId, Protocol*> by_id_;
@@ -299,11 +255,6 @@ class ThreadSystem {
     /// fd::HierC) keeps intra-cell traffic on one worker. 1 (default)
     /// preserves the classic round-robin p % M layout.
     int shard_block{1};
-    /// Escape hatch: the pre-sharding one-OS-thread-per-process executor
-    /// with a global routing lock. Kept for one release; also the
-    /// baseline bench_e9_runtime_scale measures the sharded executor
-    /// against.
-    bool legacy_thread_per_process{false};
     /// Per-host event-ring depth (0 = tracing off). When on, the system
     /// owns an obs::Recorder keeping the last `trace_depth` events per
     /// host so monitor violation reports can show what the offending host
@@ -319,10 +270,9 @@ class ThreadSystem {
 
   [[nodiscard]] int n() const { return cfg_.n; }
   [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
-  [[nodiscard]] bool legacy() const { return cfg_.legacy_thread_per_process; }
   ThreadHost& host(ProcessId p) { return *hosts_[static_cast<std::size_t>(p)]; }
 
-  /// Starts all workers (or, legacy, all host threads) and protocol stacks.
+  /// Starts all workers and protocol stacks.
   void start();
   [[nodiscard]] bool started() const {
     return started_.load(std::memory_order_acquire);
@@ -342,8 +292,8 @@ class ThreadSystem {
     return routed_.load(std::memory_order_relaxed);
   }
 
-  /// Sum of live timer-wheel entries across workers (0 in legacy mode),
-  /// as last published by each worker; exact at quiescence.
+  /// Sum of live timer-wheel entries across workers, as last published by
+  /// each worker; exact at quiescence.
   [[nodiscard]] std::int64_t wheel_entries() const;
 
   /// Attaches an external typed event recorder (tools that export traces).
@@ -375,8 +325,7 @@ class ThreadSystem {
   std::unique_ptr<obs::Recorder> recorder_owned_;
   obs::Recorder* recorder_{nullptr};
   /// Delay/loss draws for sends from threads that are not workers (tests,
-  /// monitors, legacy host threads). In legacy mode this lock on every
-  /// route IS the old design — and the contention bench_e9 measures.
+  /// monitors).
   std::mutex ext_rng_mu_;
   Rng ext_rng_;
   std::vector<std::unique_ptr<ThreadHost>> hosts_;

@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cassert>
 #include <cerrno>
 #include <cstdio>
@@ -68,8 +67,6 @@ DgramEnv::DgramEnv(Options opts)
   coalesce_hist_ = metrics_.histogram("net.coalesce_frames");
   envelope_sent_ = metrics_.counter("net.envelope_sent");
   envelope_recv_ = metrics_.counter("net.envelope_recv");
-  set_gray(opts_.gray_factor_milli, opts_.gray_send_extra);
-  set_clock_skew(opts_.skew_offset, opts_.skew_drift_ppm, opts_.skew_bound);
 }
 
 DgramEnv::~DgramEnv() {
@@ -166,37 +163,10 @@ void DgramEnv::start() {
   for (auto& p : owned_) p->start();
 }
 
-TimeUs DgramEnv::mono_now() const {
+TimeUs DgramEnv::now() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now() - epoch_)
       .count();
-}
-
-TimeUs DgramEnv::now() const { return mono_now() + clock_error(); }
-
-void DgramEnv::set_gray(std::uint32_t factor_milli, DurUs send_extra) {
-  assert(factor_milli > 0 && "gray factor must be positive");
-  gray_factor_milli_ = factor_milli;
-  gray_send_extra_ = send_extra;
-}
-
-void DgramEnv::set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                              DurUs bound_us) {
-  assert(drift_ppm > -1'000'000 && "clock cannot run backwards");
-  skew_offset_ = offset_us;
-  skew_drift_ppm_ = drift_ppm;
-  skew_bound_ = bound_us;
-  skew_since_ = mono_now();
-  skew_active_ = offset_us != 0 || drift_ppm != 0;
-}
-
-std::int64_t DgramEnv::clock_error() const {
-  if (!skew_active_) return 0;
-  std::int64_t err = skew_offset_ +
-                     static_cast<std::int64_t>(skew_drift_ppm_) *
-                         (mono_now() - skew_since_) / 1'000'000;
-  if (skew_bound_ > 0) err = std::clamp(err, -skew_bound_, skew_bound_);
-  return err;
 }
 
 void DgramEnv::send(ProcessId dst, Message m) {
@@ -236,13 +206,10 @@ void DgramEnv::send(ProcessId dst, Message m) {
   if (causal_seq != 0) {
     record(EventType::kWireSend, dst, static_cast<std::int64_t>(causal_seq));
   }
-  // Gray NIC holdback stacks with the injected chaos delay; the holdback
-  // timer itself runs on the (possibly gray-stretched) local clock — a
-  // gray host is slow everywhere.
-  DurUs hold = gray_send_extra_;
-  if (opts_.max_extra_delay > 0) {
-    hold += rng_.range(opts_.min_extra_delay, opts_.max_extra_delay);
-  }
+  const DurUs hold =
+      opts_.max_extra_delay > 0
+          ? rng_.range(opts_.min_extra_delay, opts_.max_extra_delay)
+          : 0;
   if (hold > 0) {
     set_timer(hold, [this, dst, frame = std::move(frame)]() mutable {
       transmit(dst, std::move(frame));
@@ -315,11 +282,6 @@ void DgramEnv::note_dgram_sent(const Datagram& d, bool batched) {
 TimerId DgramEnv::set_timer(DurUs delay, std::function<void()> fn) {
   const TimerId id = next_timer_++;
   if (delay < 0) delay = 0;
-  if (gray_factor_milli_ != 1000) {
-    // Gray CPU: deferred work runs factor× late. Skew drift needs no
-    // counterpart here — timers live in the skewed clock already.
-    delay = delay * static_cast<DurUs>(gray_factor_milli_) / 1000;
-  }
   timers_.push(Timer{now() + delay, next_seq_++, id, std::move(fn)});
   record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
   return id;
@@ -332,10 +294,7 @@ void DgramEnv::cancel_timer(TimerId id) {
 }
 
 void DgramEnv::trace(const std::string& tag, const std::string& detail) {
-  if (recording()) {
-    record(EventType::kNote, -1, recorder()->intern(detail),
-           recorder()->intern(tag));
-  }
+  Env::trace(tag, detail);
   if (!opts_.trace_to_stderr) return;
   std::fprintf(stderr, "[%lld] p%d %s %s\n", static_cast<long long>(now()),
                opts_.self, tag.c_str(), detail.c_str());

@@ -70,20 +70,6 @@ class DgramEnv : public Env {
     DurUs min_extra_delay{0};
     DurUs max_extra_delay{0};
 
-    /// Gray failure from birth: timer delays stretch by
-    /// gray_factor_milli/1000 (1000 = healthy) and every outgoing frame is
-    /// held back by gray_send_extra. Also settable at runtime via
-    /// set_gray(); mirrors sim::ProcessHost / runtime::ThreadHost.
-    std::uint32_t gray_factor_milli{1000};
-    DurUs gray_send_extra{0};
-
-    /// Bounded clock skew from birth: now() runs skew_offset ahead plus
-    /// skew_drift_ppm, clamped to ±skew_bound (0 = unclamped). Also
-    /// settable at runtime via set_clock_skew().
-    std::int64_t skew_offset{0};
-    std::int32_t skew_drift_ppm{0};
-    DurUs skew_bound{0};
-
     /// When set, trace() lines go to stderr as "[t_us] pK tag detail".
     bool trace_to_stderr{false};
 
@@ -124,27 +110,6 @@ class DgramEnv : public Env {
   /// Makes the current run_for/run_until return promptly; callable from a
   /// timer or message callback.
   void stop() { stopping_ = true; }
-
-  /// Gray failure at runtime: alive but slow. Timer delays (including the
-  /// heartbeat schedule) stretch by factor_milli/1000; outgoing frames are
-  /// held back by \p send_extra before the coalescer sees them.
-  void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const {
-    return gray_factor_milli_ != 1000 || gray_send_extra_ != 0;
-  }
-
-  /// Bounded clock skew at runtime. now() reads
-  /// offset + drift_ppm · elapsed/1e6 ahead of the monotonic clock, the
-  /// error clamped to ±bound_us (0 = unclamped; only mutation tests use
-  /// that). Timers live in the skewed clock, so a fast clock fires them
-  /// early in wall time — no separate delay adjustment needed here, unlike
-  /// the simulator whose scheduler runs on global time.
-  void set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                      DurUs bound_us);
-  void clear_clock_skew() { set_clock_skew(0, 0, 0); }
-
-  /// Current now() − monotonic-clock difference in microseconds.
-  [[nodiscard]] std::int64_t clock_error() const;
 
   /// The backend's short name ("poll" or "uring"), for logs and reports.
   [[nodiscard]] virtual const char* backend_name() const = 0;
@@ -309,18 +274,6 @@ class DgramEnv : public Env {
   obs::MetricsRegistry::Cell* envelope_recv_{nullptr};
   Rng rng_;
   std::chrono::steady_clock::time_point epoch_;
-
-  /// Microseconds since epoch_, unskewed (the fabric truth clock).
-  [[nodiscard]] TimeUs mono_now() const;
-
-  // Gray + skew state (single-threaded like everything else here).
-  std::uint32_t gray_factor_milli_{1000};
-  DurUs gray_send_extra_{0};
-  bool skew_active_{false};
-  std::int64_t skew_offset_{0};
-  std::int32_t skew_drift_ppm_{0};
-  DurUs skew_bound_{0};
-  TimeUs skew_since_{0};
 
   int fd_{-1};
   std::uint16_t bound_port_{0};

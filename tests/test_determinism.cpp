@@ -27,9 +27,10 @@ namespace {
 
 using runner::CaseMetrics;
 
-/// Full-trace digest of a small crash scenario: every net.send line, every
-/// suspicion flip, in emission order. The most order-sensitive probe we
-/// have short of diffing raw traces.
+/// Full-trace digest of a small crash scenario: every typed event the
+/// recorder kept (each send, delivery, timer arm/cancel, suspicion flip and
+/// the crash), in merged causal order. The rings are sized so none wraps.
+/// The most order-sensitive probe we have short of diffing raw traces.
 std::uint64_t traced_detection_hash() {
   ScenarioConfig cfg;
   cfg.n = 4;
@@ -38,25 +39,44 @@ std::uint64_t traced_detection_hash() {
   cfg.gst = 0;
   cfg.delta = msec(5);
   auto sys = make_system(cfg);
-  sys->trace().enable();
+  obs::Recorder rec(1 << 14);
+  sys->attach_recorder(&rec);
   for (ProcessId p = 0; p < cfg.n; ++p) sys->host(p).emplace<fd::HeartbeatP>();
   sys->start();
   sys->crash_at(1, msec(500));
   sys->run_until(sec(2));
+  EXPECT_EQ(rec.dropped_total(), 0u) << "a ring wrapped; grow the depth";
 
   runner::Fnv1a h;
-  h.u64(runner::fingerprint_trace(sys->trace()));
+  for (const obs::Event& e : rec.merged()) {
+    h.i64(e.time);
+    h.i64(e.host);
+    h.u64(static_cast<std::uint64_t>(e.type));
+    h.i64(e.a);
+    h.i64(e.b);
+    h.i64(e.label);
+  }
   h.u64(runner::fingerprint_counters(sys->counters()));
   h.u64(sys->scheduler().fired());
   return h.value();
 }
 
-// Golden values. Captured pre-rewrite; see file comment.
-constexpr std::uint64_t kGoldenTracedDetection = 0xfa6585c475094d51ULL;
+// Golden values. E4/E5 captured pre-rewrite; see file comment.
+// kGoldenTracedDetection was re-pinned once (from 0xfa6585c475094d51), when
+// the string trace (sim::Trace) was deleted: it used to hash the trace's
+// "net.send" and suspicion lines and now hashes the recorder's typed
+// events, which carry the same sends and flips plus deliveries and timer
+// churn. The simulation itself did not change: the counters and the
+// fired-event count in the hash, the E4/E5 goldens and the fuzz campaign
+// digests are the same as before.
+constexpr std::uint64_t kGoldenTracedDetection = 0x4cf7296c0be04d20ULL;
 constexpr std::uint64_t kGoldenE4Case = 0x3d39c4265c0163adULL;
 constexpr std::uint64_t kGoldenE5Case = 0xe43cdd4f359bb33eULL;
 
 TEST(Determinism, TracedDetectionMatchesGolden) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "the digest hashes recorded events (ECFD_OBS=OFF)";
+#endif
   const std::uint64_t h = traced_detection_hash();
   std::printf("traced_detection_hash = 0x%016llx\n",
               static_cast<unsigned long long>(h));

@@ -279,6 +279,24 @@ TEST(Repro, RejectsMalformedInput) {
   const auto bad = parse_repro(
       "ecfd.repro.v1\nn 3\nevent crash at=1000 p=7\nend\n");
   EXPECT_FALSE(bad.has_value());
+  // Fields a replay cannot honour: a gray factor that truncates to 0 in
+  // 32 bits, an unbounded skew, an offset past its own bound. Each sits
+  // next to its in-range twin, which must still parse.
+  const auto parses = [](const char* event) {
+    return parse_repro(std::string("ecfd.repro.v1\nn 3\n") + event +
+                       "\nend\n")
+        .has_value();
+  };
+  EXPECT_TRUE(parses("event gray at=1000 until=2000 p=1 "
+                     "factor_milli=4294967295 send_extra_us=0"));
+  EXPECT_FALSE(parses("event gray at=1000 until=2000 p=1 "
+                      "factor_milli=4294967296 send_extra_us=0"));
+  EXPECT_TRUE(parses("event skew at=1000 until=2000 p=1 offset_us=-20000 "
+                     "drift_ppm=0 bound_us=20000"));
+  EXPECT_FALSE(parses("event skew at=1000 until=2000 p=1 offset_us=0 "
+                      "drift_ppm=0 bound_us=0"));
+  EXPECT_FALSE(parses("event skew at=1000 until=2000 p=1 offset_us=-20001 "
+                      "drift_ppm=0 bound_us=20000"));
 }
 
 }  // namespace

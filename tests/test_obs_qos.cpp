@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "fd/heartbeat_p.hpp"
+#include "net/scenario.hpp"
 #include "obs/metrics.hpp"
 #include "obs/qos.hpp"
 #include "obs/recorder.hpp"
@@ -59,7 +61,7 @@ TEST(QosScoreboard, MistakeDurationAndRecurrenceAreExact) {
 }
 
 TEST(QosScoreboard, DetectionAfterCrashIsNotAMistake) {
-  obs::QosScoreboard sb(3);
+  obs::QosScoreboard sb(4);
   sb.ingest(ev(1000, 2, obs::EventType::kCrash));
   sb.ingest(ev(1500, 0, obs::EventType::kSuspect, 2));
   sb.ingest(ev(1600, 1, obs::EventType::kSuspect, 2));
@@ -69,6 +71,9 @@ TEST(QosScoreboard, DetectionAfterCrashIsNotAMistake) {
   EXPECT_EQ(sb.cell(0, 2).detections, 1);
   EXPECT_DOUBLE_EQ(sb.cell(0, 2).mean_detection_us(), 500.0);
   EXPECT_DOUBLE_EQ(sb.cell(1, 2).mean_detection_us(), 600.0);
+  // p3 never suspects the dead p2: no detection sample at all.
+  EXPECT_EQ(sb.cell(3, 2).detections, 0);
+  EXPECT_DOUBLE_EQ(sb.cell(3, 2).mean_detection_us(), -1.0);
   EXPECT_EQ(sb.cell(0, 2).mistakes, 0);
   EXPECT_EQ(sb.cell(0, 2).mistake_time_us, 0);
   // Suspecting the dead never costs accuracy.
@@ -110,6 +115,42 @@ TEST(QosScoreboard, DuplicateSuspectTransitionsKeepTheFirstOnset) {
   sb.finalize(1000);
   EXPECT_EQ(sb.cell(0, 1).suspicions, 1);
   EXPECT_EQ(sb.cell(0, 1).mistake_dur_sum_us, 200);
+}
+
+TEST(QosScoreboard, LiveHeartbeatRunHasCleanMetricsAfterGst) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "the scoreboard reads recorded transitions (ECFD_OBS=OFF)";
+#endif
+  // Heartbeat ◇P, one crash, synchrony from the start: no false suspicion
+  // at all, and every survivor detects the crash within a few periods.
+  ScenarioConfig cfg;
+  cfg.n = 4;
+  cfg.seed = 5;
+  cfg.links = LinkKind::kPartialSync;
+  cfg.gst = 0;
+  cfg.delta = msec(5);
+  auto sys = make_system(cfg);
+  obs::Recorder rec(obs::Recorder::kStateDepth);
+  sys->attach_recorder(&rec);
+  for (ProcessId p = 0; p < cfg.n; ++p) sys->host(p).emplace<fd::HeartbeatP>();
+  sys->crash_at(2, sec(1));
+  sys->start();
+  sys->run_until(sec(3));
+
+  obs::QosScoreboard sb(cfg.n);
+  sb.ingest_all(rec.merged());
+  sb.finalize(sec(3));
+  EXPECT_EQ(sb.crash_time(2), sec(1));
+  for (int o = 0; o < cfg.n; ++o) {
+    if (o == 2) continue;
+    for (int p = 0; p < cfg.n; ++p) {
+      if (p == o) continue;
+      EXPECT_EQ(sb.cell(o, p).mistakes, 0) << "p" << o << " -> p" << p;
+      EXPECT_DOUBLE_EQ(sb.query_accuracy(o, p), 1.0);
+    }
+    ASSERT_EQ(sb.cell(o, 2).detections, 1) << "p" << o;
+    EXPECT_LT(sb.cell(o, 2).mean_detection_us(), msec(100));
+  }
 }
 
 // --- metrics integration ----------------------------------------------

@@ -118,6 +118,29 @@ TEST(LogReplica, SurvivesLeaderCrashMidLog) {
   EXPECT_GE(reference.size(), 4u);
 }
 
+// A recorder on a long-running log must stay bounded. Every decided slot
+// records a typed kDecide, and nothing may intern per-slot text beside it:
+// each distinct string is one more table entry, until a node's crash image
+// has no room left for its labels.
+TEST(LogReplica, LongRunInternsABoundedStringTable) {
+#if defined(ECFD_OBS_DISABLED)
+  GTEST_SKIP() << "the recorder is compiled out (ECFD_OBS=OFF)";
+#endif
+  constexpr int kSlots = 3000;
+  // Quiescent: only the slots in flight poll, so the run stays linear.
+  auto c = make_cluster(3, 9, kSlots, {}, /*quiescent=*/true);
+  obs::Recorder rec(1024);
+  c.sys->attach_recorder(&rec);
+  c.sys->start();
+  c.sys->run_until(msec(300));  // FD stable; p0 is the ring leader
+  for (int i = 0; i < kSlots; ++i) c.replicas[0]->submit(1000 + i);
+  while (!c.replicas[0]->exhausted() && c.sys->now() < sec(600)) {
+    c.sys->run_for(sec(1));
+  }
+  ASSERT_EQ(c.replicas[0]->log().size(), static_cast<std::size_t>(kSlots));
+  EXPECT_LT(rec.strings().size(), 64u);
+}
+
 TEST(LogReplica, CapacityBoundsTheRun) {
   auto c = make_cluster(3, 5, 2);
   c.sys->start();

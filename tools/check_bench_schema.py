@@ -44,7 +44,8 @@ are type-checked only. --postmortem validates an ecfd.postmortem.v1 crash
 image byte-for-byte against the documented binary layout — an independent
 reimplementation of the header/ring/metric structs from src/obs/flight.cpp,
 so a C++-side layout drift that the C++ reader would silently follow still
-fails CI.
+fails CI. It prints how full the image's string region is and fails when
+it is more than half full.
 
 Exit status: 0 on match, 1 on mismatch (with a diff-style explanation on
 stderr), 2 on unreadable input.
@@ -485,6 +486,12 @@ def check_postmortem(path: str) -> int:
     if strings_len > strings_cap or strings_off + strings_len > len(blob):
         fail(f"{path}: string table [{strings_off}, +{strings_len}] "
              "out of bounds")
+    # Labels are interned once per distinct string; a region filling up
+    # means something interns per event, and labels interned after it is
+    # full render blank.
+    if 2 * strings_len > strings_cap:
+        fail(f"{path}: string region {strings_len}/{strings_cap} bytes "
+             "is more than half full")
     if metrics_count > metrics_cap:
         fail(f"{path}: metrics_count {metrics_count} > cap {metrics_cap}")
     if metrics_off + metrics_count * PM_METRIC_BYTES > len(blob):
@@ -526,7 +533,8 @@ def check_postmortem(path: str) -> int:
     death = (f"signal {crash_signal}" if crash_signal else "orderly close")
     print(f"postmortem OK: {path}, node {node}/{n}, source '{src}', "
           f"{ring_count} rings, {events} events, {snapshot_count} "
-          f"snapshots, {death}")
+          f"snapshots, strings {strings_len}/{strings_cap} bytes "
+          f"({string_count} strings), {death}")
     return 0
 
 
