@@ -181,8 +181,10 @@ struct FuzzOutcome {
 
 /// Runs mutant \p m under its canonical catching scenario (see
 /// check/mutants.hpp) and returns the monitored outcome; callers assert
-/// that violates(outcome, expected_property(m)) holds.
-[[nodiscard]] FuzzOutcome run_mutant(Mutant m, std::uint64_t seed);
+/// that violates(outcome, expected_property(m)) holds. \p recorder is
+/// attached as in run_fuzz_case.
+[[nodiscard]] FuzzOutcome run_mutant(Mutant m, std::uint64_t seed,
+                                     obs::Recorder* recorder = nullptr);
 
 /// Digest of a fuzz case + schedule + outcome, for replay pinning.
 [[nodiscard]] std::uint64_t fuzz_digest(const FuzzCaseConfig& cfg,

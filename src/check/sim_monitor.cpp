@@ -16,8 +16,6 @@ void SimMonitor::install(System& sys, const ProcessSet& correct,
   FdPropertyMonitor::Config fc;
   fc.n = sys.n();
   fc.correct = correct;
-  fc.check_suspect = cfg_.check_suspect;
-  fc.check_leader = cfg_.check_leader;
   fc.require_strong_accuracy = cfg_.require_strong_accuracy;
   fd_ = std::make_unique<FdPropertyMonitor>(fc);
   // The consensus monitor only exists once attach_consensus() names the
@@ -106,24 +104,11 @@ void SimMonitor::tick() {
       }
     }
   }
-  if (recorder_ != nullptr) record_verdict_transitions(now);
+  if (recorder_ != nullptr) {
+    transitions_.record(*recorder_, now, verdicts(now));
+  }
   if (now < until_) {
     sys_->scheduler().schedule_after(cfg_.period, [this] { tick(); });
-  }
-}
-
-void SimMonitor::record_verdict_transitions(TimeUs now) {
-  for (const Verdict& v : verdicts(now)) {
-    const auto it = last_verdict_state_.find(v.property);
-    if (it != last_verdict_state_.end() && it->second == v.state) continue;
-    const bool first = it == last_verdict_state_.end();
-    last_verdict_state_[v.property] = v.state;
-    // The initial kHolding of every property is not a transition worth a
-    // timeline row; pending/violated starts are.
-    if (first && v.state == VerdictState::kHolding) continue;
-    recorder_->system_ring().push(now, obs::EventType::kVerdict,
-                                  static_cast<std::int32_t>(v.state), 0,
-                                  recorder_->intern(v.property));
   }
 }
 

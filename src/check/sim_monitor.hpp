@@ -1,9 +1,8 @@
 #pragma once
 
+#include <map>
 #include <memory>
 #include <vector>
-
-#include <map>
 
 #include "check/consensus_monitor.hpp"
 #include "check/fd_monitor.hpp"
@@ -16,10 +15,10 @@
 ///
 /// A SimMonitor samples every attached failure-detector oracle on a fixed
 /// cadence through the system scheduler (read-only — it sends no messages
-/// and perturbs nothing but the event count) and registers decision
-/// callbacks on the consensus protocols. It is measurement machinery in the
-/// same spirit as fd/probe.hpp, but evaluates properties online instead of
-/// retaining the full timeline.
+/// and perturbs nothing but the event count), feeding the snapshots to an
+/// FdPropertyMonitor, and registers decision callbacks on the consensus
+/// protocols. The FD properties checked follow from what is attached: a
+/// family whose oracle no process has is not judged.
 ///
 /// The monitor outlives the System it observed: after the run, verdicts()
 /// keeps answering from the folded state.
@@ -31,8 +30,6 @@ class SimMonitor {
   struct Config {
     DurUs period{msec(10)};  ///< sampling cadence
     bool require_strong_accuracy{false};
-    bool check_suspect{true};
-    bool check_leader{true};
   };
 
   explicit SimMonitor(Config cfg) : cfg_(cfg) {}
@@ -66,11 +63,10 @@ class SimMonitor {
   /// Arms the sampling timer; call after install()/attach_fd().
   void start();
 
-  /// Routes verdict-state transitions into \p rec's system ring (host -1)
-  /// as kVerdict events: a = new VerdictState ordinal, label = interned
-  /// property name. Attach the same recorder to the System so the monitor's
-  /// verdict flips interleave with the per-host protocol events in the
-  /// merged timeline. nullptr detaches.
+  /// Routes verdict-state transitions into \p rec's system ring (see
+  /// VerdictTransitions). Attach the same recorder to the System so the
+  /// monitor's verdict flips interleave with the per-host protocol events
+  /// in the merged timeline. nullptr detaches.
   void set_recorder(obs::Recorder* rec) { recorder_ = rec; }
 
   /// One-call setup from a harness instrumentation hook: install, attach
@@ -98,12 +94,11 @@ class SimMonitor {
 
  private:
   void tick();
-  void record_verdict_transitions(TimeUs now);
 
   Config cfg_;
   System* sys_{nullptr};
   obs::Recorder* recorder_{nullptr};
-  std::map<std::string, VerdictState> last_verdict_state_;
+  VerdictTransitions transitions_;
   TimeUs until_{0};
   std::map<ProcessId, DurUs> skew_bounds_;
   Verdict skew_verdict_;  ///< meaningful once !skew_bounds_.empty()

@@ -98,23 +98,8 @@ void ThreadedFdMonitor::sample(DurUs timeout) {
   snap.time = sys_.now();
   snap.crashed = crashed;
   monitor_.observe(snap);
-
-  // Verdict transitions go to the runtime recorder's system ring so the
-  // merged timeline shows when each property flipped, interleaved with the
-  // per-host protocol events. sample() is called from one coordinating
-  // thread, so last_verdict_state_ needs no lock.
-  obs::Recorder* rec = sys_.recorder();
-  if (rec != nullptr) {
-    for (const Verdict& v : monitor_.verdicts()) {
-      const auto it = last_verdict_state_.find(v.property);
-      if (it != last_verdict_state_.end() && it->second == v.state) continue;
-      const bool first = it == last_verdict_state_.end();
-      last_verdict_state_[v.property] = v.state;
-      if (first && v.state == VerdictState::kHolding) continue;
-      rec->system_ring().push(snap.time, obs::EventType::kVerdict,
-                              static_cast<std::int32_t>(v.state), 0,
-                              rec->intern(v.property));
-    }
+  if (obs::Recorder* rec = sys_.recorder()) {
+    transitions_.record(*rec, snap.time, monitor_.verdicts());
   }
 }
 

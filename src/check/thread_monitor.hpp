@@ -1,7 +1,6 @@
 #pragma once
 
 #include <condition_variable>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -55,9 +54,9 @@ class ThreadedFdMonitor {
   std::vector<const SuspectOracle*> suspects_;
   std::vector<const LeaderOracle*> leaders_;
 
-  /// Verdict states as of the previous sample; transitions are pushed into
-  /// the runtime recorder's system ring as kVerdict events.
-  std::map<std::string, VerdictState> last_verdict_state_;
+  /// Verdict transitions go to the runtime recorder's system ring. sample()
+  /// runs on one coordinating thread, so this needs no lock.
+  VerdictTransitions transitions_;
 
   std::mutex mu_;
   std::condition_variable cv_;

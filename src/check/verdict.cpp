@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "obs/recorder.hpp"
+
 namespace ecfd::check {
 
 const char* to_string(VerdictState s) {
@@ -43,6 +45,19 @@ std::vector<Verdict> failing(const std::vector<Verdict>& all, TimeUs end,
     if (v.required && !satisfied(v, end, margin)) out.push_back(v);
   }
   return out;
+}
+
+void VerdictTransitions::record(obs::Recorder& rec, TimeUs now,
+                                const std::vector<Verdict>& verdicts) {
+  for (const Verdict& v : verdicts) {
+    const auto [it, first] = last_.try_emplace(v.property, v.state);
+    if (!first && it->second == v.state) continue;
+    it->second = v.state;
+    if (first && v.state == VerdictState::kHolding) continue;
+    rec.system_ring().push(now, obs::EventType::kVerdict,
+                           static_cast<std::int32_t>(v.state), 0,
+                           rec.intern(v.property));
+  }
 }
 
 }  // namespace ecfd::check

@@ -1,9 +1,14 @@
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/time.hpp"
+
+namespace ecfd::obs {
+class Recorder;
+}
 
 /// \file verdict.hpp
 /// The result type of the online property monitors (check/).
@@ -48,5 +53,18 @@ struct Verdict {
                                            TimeUs end, DurUs margin);
 
 const char* to_string(VerdictState s);
+
+/// Routes verdict-state transitions into a recorder's system ring (host -1)
+/// as kVerdict events: a = new VerdictState ordinal, label = interned
+/// property name. A property's first verdict is pushed only when it is not
+/// kHolding. Shared by SimMonitor and ThreadedFdMonitor; not thread-safe.
+class VerdictTransitions {
+ public:
+  void record(obs::Recorder& rec, TimeUs now,
+              const std::vector<Verdict>& verdicts);
+
+ private:
+  std::map<std::string, VerdictState> last_;
+};
 
 }  // namespace ecfd::check

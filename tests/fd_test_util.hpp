@@ -2,24 +2,24 @@
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "fd/probe.hpp"
-#include "fd/properties.hpp"
+#include "check/sim_monitor.hpp"
 #include "net/scenario.hpp"
 #include "scenario_util.hpp"
 
 /// \file fd_test_util.hpp
 /// Shared scaffolding for failure-detector property tests: build a system
-/// from a scenario, install a detector stack on every process, sample it
-/// with FdProbe, and evaluate fd/properties over the run. Scenario
-/// construction itself lives in scenario_util.hpp (pulled in here so FD
-/// suites get both with one include).
+/// from a scenario, install a detector stack on every process, judge it
+/// with check::SimMonitor every 5 ms, and map the verdicts onto Fig. 1's
+/// classes. Scenario construction itself lives in scenario_util.hpp (pulled
+/// in here so FD suites get both with one include).
 
 namespace ecfd::testutil {
 
-/// What the per-process installer hands back for probing. Either pointer
+/// What the per-process installer hands back for monitoring. Either pointer
 /// may be null when the detector has no such output.
 struct OracleRefs {
   const SuspectOracle* suspect{nullptr};
@@ -33,43 +33,49 @@ using Installer = std::function<OracleRefs(
     std::vector<std::shared_ptr<void>>& keepalive)>;
 
 struct FdRunResult {
-  FdReport report;
-  RunFacts facts;
+  /// Class membership at the horizon: every property holding at the last
+  /// snapshot counts (margin 0).
+  check::FdClasses classes;
+  std::vector<check::Verdict> verdicts;
   TimeUs horizon{};
-  std::int64_t messages_sent{};
+
+  /// The verdict named \p property; a pending one when the run has none.
+  [[nodiscard]] check::Verdict verdict(const std::string& property) const {
+    for (const check::Verdict& v : verdicts) {
+      if (v.property == property) return v;
+    }
+    check::Verdict missing;
+    missing.property = property;
+    missing.state = check::VerdictState::kPending;
+    return missing;
+  }
 };
 
-/// Runs one FD scenario end to end.
-inline FdRunResult run_fd_scenario(const ScenarioConfig& cfg,
-                                   const Installer& install, TimeUs horizon,
-                                   DurUs probe_period = msec(5)) {
+/// Runs one FD scenario end to end. \p prepare, when set, adjusts the built
+/// system (links, gray hosts) before it starts.
+inline FdRunResult run_fd_scenario(
+    const ScenarioConfig& cfg, const Installer& install, TimeUs horizon,
+    const std::function<void(System&)>& prepare = {}) {
   auto sys = make_system(cfg);
+  if (prepare) prepare(*sys);
   std::vector<std::shared_ptr<void>> keepalive;
-  FdProbe probe(*sys, probe_period);
+  ProcessSet correct = ProcessSet::full(cfg.n);
+  for (const CrashPlan& c : cfg.crashes) correct.remove(c.process);
+  check::SimMonitor monitor(check::SimMonitor::Config{msec(5)});
+  monitor.install(*sys, correct, horizon);
   for (ProcessId p = 0; p < cfg.n; ++p) {
     OracleRefs refs = install(sys->host(p), p, keepalive);
-    probe.attach(p, refs.suspect, refs.leader);
+    monitor.attach_fd(p, refs.suspect, refs.leader);
   }
-  probe.start(horizon);
+  monitor.start();
   sys->start();
   sys->run_until(horizon);
 
   FdRunResult out;
-  out.facts.n = cfg.n;
-  out.facts.correct = ProcessSet::full(cfg.n);
-  for (const CrashPlan& c : cfg.crashes) out.facts.correct.remove(c.process);
-  out.facts.end_time = horizon;
+  out.classes = monitor.fd()->classes(horizon, 0);
+  out.verdicts = monitor.fd()->verdicts();
   out.horizon = horizon;
-  out.report = check_fd_properties(out.facts, probe.samples());
-  out.messages_sent = sys->network().sent_total();
   return out;
-}
-
-/// Asserts helper: the property must hold and have stabilized at least
-/// \p margin before the end of the run (guards against "stabilized on the
-/// last sample" flukes).
-inline bool holds_with_margin(const Eventually& e, TimeUs end, DurUs margin) {
-  return e.holds && e.from <= end - margin;
 }
 
 }  // namespace ecfd::testutil

@@ -168,8 +168,6 @@ TEST(AdaptiveHeartbeat, WideningMarginRestoresStrongAccuracy) {
                           std::make_unique<ReliableLink>(msec(1), msec(60)));
 
   check::SimMonitor::Config mc;
-  mc.check_suspect = true;
-  mc.check_leader = false;
   mc.require_strong_accuracy = true;
   check::SimMonitor monitor(mc);
   monitor.install(*sys, ProcessSet::full(5), sec(10));

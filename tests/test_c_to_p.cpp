@@ -12,7 +12,6 @@
 namespace ecfd {
 namespace {
 
-using testutil::holds_with_margin;
 using testutil::run_fd_scenario;
 
 ScenarioConfig base_scenario(int n, std::uint64_t seed) {
@@ -48,18 +47,18 @@ TEST(CToP, Theorem1OutputIsEventuallyPerfect) {
   cfg.with_crash(2, msec(800)).with_crash(4, sec(1));
   auto res = run_fd_scenario(cfg, scripted_installer(5, 0, msec(300)),
                              sec(6));
-  EXPECT_TRUE(res.report.is_eventually_perfect())
-      << "SC=" << res.report.strong_completeness.holds
-      << " ESA=" << res.report.eventual_strong_accuracy.holds;
-  EXPECT_TRUE(holds_with_margin(res.report.strong_completeness, res.horizon,
-                                sec(1)));
+  EXPECT_TRUE(res.classes.eventually_perfect())
+      << "SC=" << res.classes.strong_completeness
+      << " ESA=" << res.classes.eventual_strong_accuracy;
+  EXPECT_TRUE(check::satisfied(res.verdict("fd.strong_completeness"),
+                               res.horizon, sec(1)));
 }
 
 TEST(CToP, WorksOnTopOfRealOmega) {
   auto cfg = base_scenario(5, 2);
   cfg.with_crash(3, sec(1));
   auto res = run_fd_scenario(cfg, real_installer(), sec(8));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
+  EXPECT_TRUE(res.classes.eventually_perfect());
 }
 
 TEST(CToP, SurvivesLeaderCrash) {
@@ -79,7 +78,7 @@ TEST(CToP, SurvivesLeaderCrash) {
     return testutil::OracleRefs{&ctp, nullptr};
   };
   auto res = run_fd_scenario(cfg, install, sec(8));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
+  EXPECT_TRUE(res.classes.eventually_perfect());
 }
 
 TEST(CToP, SteadyStateCostIs2NMinus1) {
@@ -140,34 +139,19 @@ TEST(CToP, ToleratesFairLossyLeaderOutputLinks) {
   const ProcessId leader = 0;
   auto cfg = base_scenario(n, 6);
   cfg.with_crash(3, sec(1));
-  auto sys = make_system(cfg);
-  for (ProcessId d = 0; d < n; ++d) {
-    if (d == leader) continue;
-    FairLossyLink::Config lossy;
-    lossy.loss_p = 0.4;
-    lossy.force_deliver_every = 5;
-    sys->network().set_link(leader, d,
-                            std::make_unique<FairLossyLink>(lossy));
-  }
-  FdProbe probe(*sys, msec(5));
-  for (ProcessId p = 0; p < n; ++p) {
-    std::vector<fd::ScriptedFd::Step> steps;
-    steps.push_back({0, ProcessSet(n), leader});
-    auto& omega = sys->host(p).emplace<fd::ScriptedFd>(steps);
-    auto& ctp = sys->host(p).emplace<core::CToP>(&omega);
-    probe.attach(p, &ctp, nullptr);
-  }
-  probe.start(sec(6));
-  sys->start();
-  sys->run_until(sec(6));
-
-  RunFacts facts;
-  facts.n = n;
-  facts.correct = ProcessSet::full(n);
-  facts.correct.remove(3);
-  facts.end_time = sec(6);
-  FdReport report = check_fd_properties(facts, probe.samples());
-  EXPECT_TRUE(report.is_eventually_perfect())
+  // A script stable from 0 trusts `leader` throughout.
+  auto res = run_fd_scenario(
+      cfg, scripted_installer(n, leader, 0), sec(6), [&](System& sys) {
+        for (ProcessId d = 0; d < n; ++d) {
+          if (d == leader) continue;
+          FairLossyLink::Config lossy;
+          lossy.loss_p = 0.4;
+          lossy.force_deliver_every = 5;
+          sys.network().set_link(leader, d,
+                                 std::make_unique<FairLossyLink>(lossy));
+        }
+      });
+  EXPECT_TRUE(res.classes.eventually_perfect())
       << "fairness of output links suffices for list adoption";
 }
 

@@ -44,9 +44,9 @@ TEST(HierC, IsEventuallyConsistentUnderCrashes) {
   auto cfg = base_scenario(9, 2);
   cfg.with_crash(4, msec(700)).with_crash(3, sec(1));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 0);
+  EXPECT_TRUE(res.classes.eventually_perfect());
+  EXPECT_TRUE(res.classes.eventually_consistent());
+  EXPECT_EQ(res.classes.leader, 0);
 }
 
 TEST(HierC, TopLeaderCrashReElects) {
@@ -55,8 +55,8 @@ TEST(HierC, TopLeaderCrashReElects) {
   auto cfg = base_scenario(9, 3);
   cfg.with_crash(0, msec(800));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 1);
+  EXPECT_TRUE(res.classes.eventually_consistent());
+  EXPECT_EQ(res.classes.leader, 1);
 }
 
 TEST(HierC, WholeCellCrashMovesTopLeadership) {
@@ -67,9 +67,9 @@ TEST(HierC, WholeCellCrashMovesTopLeadership) {
   auto cfg = base_scenario(9, 4);
   cfg.with_crash(0, msec(600)).with_crash(1, msec(700)).with_crash(2, msec(800));
   auto res = run_fd_scenario(cfg, installer(), sec(12));
-  EXPECT_TRUE(res.report.is_eventually_perfect());
-  EXPECT_TRUE(res.report.is_eventually_consistent());
-  EXPECT_EQ(res.report.omega_leader, 3);
+  EXPECT_TRUE(res.classes.eventually_perfect());
+  EXPECT_TRUE(res.classes.eventually_consistent());
+  EXPECT_EQ(res.classes.leader, 3);
 }
 
 TEST(HierC, DigestRecoversFromPartitionStaleness) {
@@ -161,8 +161,8 @@ TEST(HierC, UnmutatedPassesStuckPropagatorScenario) {
   cfg.links = LinkKind::kReliable;
   cfg.with_crash(n - 1, sec(2));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.strong_completeness.holds);
-  EXPECT_TRUE(res.report.is_eventually_consistent());
+  EXPECT_TRUE(res.classes.strong_completeness);
+  EXPECT_TRUE(res.classes.eventually_consistent());
 }
 
 }  // namespace

@@ -72,31 +72,6 @@ Verdict find(const std::vector<Verdict>& all, const std::string& name) {
   return {};
 }
 
-TEST(FdMonitor, CompletenessFlagsUnsuspectedCrash) {
-  const int n = 3;
-  FdPropertyMonitor::Config cfg = fd_config(n);
-  cfg.correct.remove(2);
-  FdPropertyMonitor mon(cfg);
-
-  auto s = snap(n, msec(10));
-  s.crashed.add(2);
-  s.suspected[2].reset();  // crashed process has no output
-  mon.observe(s);  // p0/p1 do not yet suspect p2 -> violating sample
-
-  auto v = find(mon.verdicts(), "fd.strong_completeness");
-  EXPECT_EQ(v.state, VerdictState::kPending);
-  EXPECT_NE(v.witness.find("p2"), std::string::npos);
-
-  s.time = msec(20);
-  s.suspected[0]->add(2);
-  s.suspected[1]->add(2);
-  mon.observe(s);
-  v = find(mon.verdicts(), "fd.strong_completeness");
-  EXPECT_EQ(v.state, VerdictState::kHolding);
-  EXPECT_EQ(v.holds_since, msec(20));
-  EXPECT_EQ(v.violations, 1);
-}
-
 TEST(FdMonitor, WeakAccuracyTracksPerCandidateSuffix) {
   const int n = 3;
   FdPropertyMonitor mon(fd_config(n));
@@ -149,17 +124,6 @@ TEST(FdMonitor, LeaderAgreementCatchesSynchronizedFlapping) {
   EXPECT_GE(v.violations, 3);
   EXPECT_NE(v.witness.find("changed"), std::string::npos);
   EXPECT_FALSE(satisfied(v, msec(60), msec(10)));
-}
-
-TEST(FdMonitor, CouplingFlagsTrustedInSuspected) {
-  const int n = 3;
-  FdPropertyMonitor mon(fd_config(n));
-  auto s = snap(n, msec(10));
-  s.suspected[1]->add(0);  // p1 trusts p0 (default) AND suspects p0
-  mon.observe(s);
-  auto v = find(mon.verdicts(), "fd.coupling");
-  EXPECT_EQ(v.state, VerdictState::kPending);
-  EXPECT_NE(v.witness.find("p1"), std::string::npos);
 }
 
 // --- consensus monitor ----------------------------------------------------

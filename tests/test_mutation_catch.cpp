@@ -8,11 +8,13 @@
 // replay reproduces the recorded digest bit for bit).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 
 #include "check/fuzz.hpp"
 #include "check/mutants.hpp"
 #include "check/repro.hpp"
+#include "obs/recorder.hpp"
 
 namespace ecfd::check {
 namespace {
@@ -56,6 +58,25 @@ TEST_P(MutationCatch, RunsAreDeterministic) {
   const FuzzOutcome b = run_mutant(m, /*seed=*/7);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.violations.size(), b.violations.size());
+}
+
+TEST_P(MutationCatch, VerdictFlipReachesTheRecorder) {
+  // The monitor's transition log: the caught property's flip away from
+  // kHolding lands in the recorder's system ring as a kVerdict event.
+  const Mutant m = GetParam();
+  obs::Recorder rec(64);
+  const FuzzOutcome out = run_mutant(m, /*seed=*/7, &rec);
+  ASSERT_TRUE(violates(out, expected_property(m)));
+  std::vector<obs::Event> events;
+  rec.system_ring().snapshot(&events);
+  const bool flipped =
+      std::any_of(events.begin(), events.end(), [&](const obs::Event& e) {
+        return e.type == obs::EventType::kVerdict &&
+               rec.string_at(e.label) == expected_property(m) &&
+               e.a != static_cast<std::int32_t>(VerdictState::kHolding);
+      });
+  EXPECT_TRUE(flipped) << mutant_name(m) << ": no kVerdict event for "
+                       << expected_property(m);
 }
 
 INSTANTIATE_TEST_SUITE_P(

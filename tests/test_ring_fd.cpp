@@ -8,7 +8,6 @@
 namespace ecfd {
 namespace {
 
-using testutil::holds_with_margin;
 using testutil::run_fd_scenario;
 
 testutil::Installer ring_installer() {
@@ -25,31 +24,29 @@ ScenarioConfig base_scenario(int n, std::uint64_t seed) {
 
 TEST(RingFd, FailureFreeConvergesToNoSuspicionsAndLeaderP0) {
   auto res = run_fd_scenario(base_scenario(5, 1), ring_installer(), sec(8));
-  EXPECT_TRUE(res.report.eventual_strong_accuracy.holds);
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 0) << "ring leader is first in order";
-  EXPECT_TRUE(res.report.is_eventually_consistent());
+  EXPECT_TRUE(res.classes.eventual_strong_accuracy);
+  EXPECT_TRUE(res.classes.omega);
+  EXPECT_EQ(res.classes.leader, 0) << "ring leader is first in order";
+  EXPECT_TRUE(res.classes.eventually_consistent());
 }
 
 TEST(RingFd, CrashDetectedAndPropagatedAroundRing) {
   auto cfg = base_scenario(6, 2);
   cfg.with_crash(2, sec(1));
   auto res = run_fd_scenario(cfg, ring_installer(), sec(10));
-  EXPECT_TRUE(res.report.is_eventually_perfect())
-      << "SC holds=" << res.report.strong_completeness.holds
-      << " from=" << res.report.strong_completeness.from
-      << " ESA holds=" << res.report.eventual_strong_accuracy.holds
-      << " from=" << res.report.eventual_strong_accuracy.from;
+  EXPECT_TRUE(res.classes.eventually_perfect())
+      << res.verdict("fd.strong_completeness").to_string() << "\n"
+      << res.verdict("fd.eventual_strong_accuracy").to_string();
 }
 
 TEST(RingFd, LeaderFallsToFirstCorrectWhenP0Crashes) {
   auto cfg = base_scenario(5, 3);
   cfg.with_crash(0, sec(1)).with_crash(1, sec(2));
   auto res = run_fd_scenario(cfg, ring_installer(), sec(12));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_EQ(res.report.omega_leader, 2)
+  EXPECT_TRUE(res.classes.omega);
+  EXPECT_EQ(res.classes.leader, 2)
       << "first correct process in ring order";
-  EXPECT_TRUE(res.report.is_eventually_consistent());
+  EXPECT_TRUE(res.classes.eventually_consistent());
 }
 
 TEST(RingFd, LinearMessageCost) {
@@ -102,13 +99,13 @@ TEST_P(RingFdSweep, EventuallyConsistent) {
     cfg.with_crash((param.n / 2 + i) % param.n, msec(400) + i * msec(500));
   }
   auto res = run_fd_scenario(cfg, ring_installer(), sec(15));
-  EXPECT_TRUE(res.report.is_eventually_consistent())
+  EXPECT_TRUE(res.classes.eventually_consistent())
       << "seed=" << param.seed << " n=" << param.n
       << " crashes=" << param.crashes
-      << " SC=" << res.report.strong_completeness.holds
-      << " EWA=" << res.report.eventual_weak_accuracy.holds
-      << " omega=" << res.report.omega.holds
-      << " couple=" << res.report.ecfd_coupling.holds;
+      << " SC=" << res.classes.strong_completeness
+      << " EWA=" << res.classes.eventual_weak_accuracy
+      << " omega=" << res.classes.omega
+      << " couple=" << res.classes.coupling;
 }
 
 INSTANTIATE_TEST_SUITE_P(

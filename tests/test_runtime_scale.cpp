@@ -54,8 +54,6 @@ void leader_crash_converges(int n) {
   mc.n = n;
   mc.correct = ProcessSet(n);
   for (ProcessId p = 1; p < n; ++p) mc.correct.add(p);
-  mc.check_suspect = false;
-  mc.check_leader = true;
   check::ThreadedFdMonitor mon(sys, mc);
   for (ProcessId p = 0; p < n; ++p) {
     mon.attach(p, nullptr, leaders[static_cast<std::size_t>(p)]);

@@ -27,23 +27,23 @@ ScenarioConfig base_scenario(int n, std::uint64_t seed) {
 
 TEST(StableLeader, ImplementsOmegaFailureFree) {
   auto res = run_fd_scenario(base_scenario(5, 1), installer(), sec(6));
-  EXPECT_TRUE(res.report.omega.holds);
+  EXPECT_TRUE(res.classes.omega);
 }
 
 TEST(StableLeader, ReElectsWhenLeaderCrashes) {
   auto cfg = base_scenario(5, 2);
   cfg.with_crash(0, sec(1));
   auto res = run_fd_scenario(cfg, installer(), sec(8));
-  EXPECT_TRUE(res.report.omega.holds);
-  EXPECT_NE(res.report.omega_leader, 0);
+  EXPECT_TRUE(res.classes.omega);
+  EXPECT_NE(res.classes.leader, 0);
 }
 
 TEST(StableLeader, SurvivesCascadingCrashes) {
   auto cfg = base_scenario(6, 3);
   cfg.with_crash(0, msec(800)).with_crash(1, sec(2));
   auto res = run_fd_scenario(cfg, installer(), sec(10));
-  EXPECT_TRUE(res.report.omega.holds)
-      << "leader=" << res.report.omega_leader;
+  EXPECT_TRUE(res.classes.omega)
+      << "leader=" << res.classes.leader;
 }
 
 TEST(StableLeader, AccusationsGrowForCrashedLeaderOnly) {
