@@ -1,143 +1,29 @@
 #include "consensus/fd_stacks.hpp"
 
-#include "core/ecfd_compose.hpp"
-#include "fd/efficient_p.hpp"
-#include "fd/heartbeat_p.hpp"
-#include "fd/hier_c.hpp"
-#include "fd/leader_candidate.hpp"
-#include "fd/ring_fd.hpp"
-#include "fd/scripted_fd.hpp"
-#include "fd/swim.hpp"
-
 namespace ecfd::consensus {
-
-namespace {
-
-FdInstallation install_ring(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  auto& ring = host.emplace<fd::RingFd>();
-  out.owned = std::make_unique<core::EcfdFromRing>(&ring);
-  out.ecfd = out.owned.get();
-  out.suspect = &ring;
-  out.leader = &ring;
-  return out;
-}
-
-FdInstallation install_heartbeat(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  auto& hb = host.emplace<fd::HeartbeatP>();
-  auto from_p = std::make_unique<core::EcfdFromP>(&hb);
-  out.suspect = &hb;
-  out.leader = from_p.get();
-  out.ecfd = from_p.get();
-  out.owned = std::move(from_p);
-  return out;
-}
-
-FdInstallation install_heartbeat_adaptive(ProcessHost& host,
-                                          const FdStackParams&) {
-  FdInstallation out;
-  fd::HeartbeatP::Config hbc;
-  hbc.adaptive = true;
-  hbc.predictor.fallback_timeout = hbc.initial_timeout;
-  auto& hb = host.emplace<fd::HeartbeatP>(hbc);
-  auto from_p = std::make_unique<core::EcfdFromP>(&hb);
-  out.suspect = &hb;
-  out.leader = from_p.get();
-  out.ecfd = from_p.get();
-  out.owned = std::move(from_p);
-  return out;
-}
-
-FdInstallation install_omega_heartbeat(ProcessHost& host,
-                                       const FdStackParams&) {
-  FdInstallation out;
-  auto& hb = host.emplace<fd::HeartbeatP>();
-  auto& lc = host.emplace<fd::LeaderCandidate>();
-  out.owned = std::make_unique<core::EcfdFromSAndOmega>(&hb, &lc);
-  out.ecfd = out.owned.get();
-  out.suspect = &hb;
-  out.leader = &lc;
-  return out;
-}
-
-FdInstallation install_efficient_p(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  // EfficientP is a complete ◇C module already; no adapter needed.
-  auto& eff = host.emplace<fd::EfficientP>();
-  out.ecfd = &eff;
-  out.suspect = &eff;
-  out.leader = &eff;
-  return out;
-}
-
-FdInstallation install_scripted(ProcessHost& host,
-                                const FdStackParams& params) {
-  FdInstallation out;
-  const int n = host.n();
-  ProcessId leader = params.leader;
-  if (leader == kNoProcess) {
-    ProcessSet correct = ProcessSet::full(n) - params.crashed;
-    leader = correct.empty() ? 0 : correct.first();
-  }
-  auto& scripted = host.emplace<fd::ScriptedFd>(
-      params.ewa_only
-          ? fd::ewa_only_script(n, host.self(), leader, params.stable_at)
-          : fd::stable_script(n, host.self(), params.crashed, leader,
-                              params.stable_at));
-  out.owned = std::make_unique<core::EcfdFromSAndOmega>(&scripted, &scripted);
-  out.ecfd = out.owned.get();
-  out.suspect = &scripted;
-  out.leader = &scripted;
-  return out;
-}
-
-FdInstallation install_hier_c(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  auto& hier = host.emplace<fd::HierC>();
-  out.ecfd = &hier;
-  out.suspect = &hier;
-  out.leader = &hier;
-  return out;
-}
-
-FdInstallation install_swim(ProcessHost& host, const FdStackParams&) {
-  FdInstallation out;
-  auto& swim = host.emplace<fd::SwimFd>();
-  out.ecfd = &swim;
-  out.suspect = &swim;
-  out.leader = &swim;
-  return out;
-}
-
-}  // namespace
 
 const std::vector<FdStackInfo>& all_fd_stacks() {
   static const std::vector<FdStackInfo> kStacks = {
       {FdStack::kRing, "ring", "ring",
-       "ring ◇S/◇P with its free leader (◇C at no extra cost)",
-       &install_ring},
+       "ring ◇S/◇P with its free leader (◇C at no extra cost)"},
       {FdStack::kHeartbeatP, "heartbeat_p", "heartbeat",
-       "all-to-all heartbeat ◇P, leader = first unsuspected",
-       &install_heartbeat},
+       "all-to-all heartbeat ◇P, leader = first unsuspected"},
       {FdStack::kOmegaPlusHeartbeat, "omega_heartbeat", "mix",
-       "leader-candidate Omega + heartbeat ◇S, composed",
-       &install_omega_heartbeat},
+       "leader-candidate Omega + heartbeat ◇S, composed"},
       {FdStack::kEfficientP, "efficient_p", "effp",
-       "§4 piggybacked Omega+◇P (cheapest flat full stack)",
-       &install_efficient_p},
+       "§4 piggybacked Omega+◇P (cheapest flat full stack)"},
       {FdStack::kScriptedStable, "scripted", "scripted",
-       "scripted: chaos until fd_stable_at, then perfect",
-       &install_scripted},
+       "scripted: chaos until fd_stable_at, then perfect"},
       {FdStack::kHeartbeatAdaptive, "heartbeat_adaptive", "adaptive",
-       "heartbeat ◇P with Chen-style adaptive timeouts",
-       &install_heartbeat_adaptive},
+       "heartbeat ◇P with Chen-style adaptive timeouts"},
       {FdStack::kHierC, "hier_c", "hier",
-       "two-level hierarchical ◇C: √n cells, O(n) msgs/period",
-       &install_hier_c},
+       "two-level hierarchical ◇C: √n cells, O(n) msgs/period"},
       {FdStack::kSwim, "swim", "swim",
-       "SWIM gossip membership as ◇C: O(1) msgs per node per period",
-       &install_swim},
+       "SWIM gossip membership as ◇C: O(1) msgs per node per period"},
+      {FdStack::kStableLeader, "stable_leader", "stable",
+       "ADFT stable Omega (accusation counters), suspects all but the leader"},
+      {FdStack::kEcfd, "ecfd", "ecfd",
+       "the paper's stack: stable Omega -> Fig. 2 ◇P, 2(n-1) msgs/period"},
   };
   return kStacks;
 }
@@ -153,15 +39,10 @@ const FdStackInfo* fd_stack_by_name(const std::string& s) {
   return nullptr;
 }
 
-FdInstallation install_fd_stack(FdStack f, ProcessHost& host,
-                                const FdStackParams& params) {
-  return fd_stack_info(f).install(host, params);
-}
-
 const std::vector<std::string>& fd_msg_prefixes() {
   static const std::vector<std::string> kPrefixes = {
-      "msg.hb_p.", "msg.ring.", "msg.lc.",   "msg.ofs.",
-      "msg.effp.", "msg.hier.", "msg.swim.",
+      "msg.hb_p.", "msg.ring.", "msg.lc.",   "msg.ofs.", "msg.effp.",
+      "msg.hier.", "msg.swim.", "msg.sl.",   "msg.ctp.",
   };
   return kPrefixes;
 }

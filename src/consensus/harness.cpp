@@ -56,7 +56,8 @@ HarnessResult run_consensus(const HarnessConfig& cfg) {
   fd_params.ewa_only = cfg.scripted_ewa_only;
   for (ProcessId p = 0; p < n; ++p) {
     const auto i = static_cast<std::size_t>(p);
-    FdInstallation inst = install_fd_stack(cfg.fd, sys->host(p), fd_params);
+    FdInstallation inst =
+        install_fd_stack(cfg.fd, sys->host(p), FdTimings{}, fd_params);
     oracles[i] = std::move(inst.owned);
     ecfd[i] = inst.ecfd;
     suspects[i] = inst.suspect;

@@ -36,6 +36,8 @@ enum class FdStack {
   // Append only: fuzz digests hash the ordinal (see check/fuzz.cpp).
   kHierC,           ///< two-level hierarchical ◇C (√n cells, O(n) msgs)
   kSwim,            ///< SWIM gossip membership as ◇C (O(1) msgs per node)
+  kStableLeader,    ///< stable Omega (accusation counters), ◇C from Omega
+  kEcfd,            ///< the paper's stack: stable Omega -> Fig. 2 -> ◇P + Omega
 };
 
 /// Everything an observer may want to hook into, handed to

@@ -16,7 +16,7 @@
 ///
 ///   [cluster]
 ///   seed = 1
-///   fd = efficient_p          ; heartbeat_p | efficient_p | stable_leader | ecfd
+///   fd = efficient_p          ; any consensus/fd_stacks.hpp stack but scripted
 ///   period_ms = 50
 ///   initial_timeout_ms = 250
 ///   timeout_increment_ms = 100

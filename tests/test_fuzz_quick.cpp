@@ -193,6 +193,40 @@ TEST(FuzzQuick, ScalableStacksSurviveMixedProfiles) {
   }
 }
 
+TEST(FuzzQuick, ShippedEcfdStackSurvivesLanAndWanPacks) {
+  // The stack ecfd_node ships and kvbench measures — stable Omega, Fig. 2
+  // transformation to ◇P, installed through the shared factory — under all
+  // eight profiles, with eventual strong accuracy required (the stack is
+  // ◇P, not just ◇C) and every correct process deciding.
+  constexpr int kSeedsPerProfile = 6;
+  std::vector<FuzzProfile> profiles(std::begin(kProfiles),
+                                    std::end(kProfiles));
+  profiles.insert(profiles.end(), std::begin(kWanProfiles),
+                  std::end(kWanProfiles));
+  std::atomic<int> undecided{0};
+  std::vector<std::string> details(profiles.size() * kSeedsPerProfile);
+  runner::parallel_for(details.size(), runner::ThreadPool::default_threads(),
+                       [&](std::size_t i) {
+                         FuzzCaseConfig cfg;
+                         cfg.profile = profiles[i / kSeedsPerProfile];
+                         cfg.seed = 1 + i % kSeedsPerProfile;
+                         cfg.fd = consensus::FdStack::kEcfd;
+                         cfg.require_strong_accuracy = true;
+                         const FuzzOutcome out = run_fuzz_case(cfg);
+                         if (!out.every_correct_decided) undecided.fetch_add(1);
+                         if (!out.ok) {
+                           details[i] = std::string(profile_name(cfg.profile)) +
+                                        " seed " + std::to_string(cfg.seed) +
+                                        ": " +
+                                        out.violations.front().to_string();
+                         }
+                       });
+  EXPECT_EQ(undecided.load(), 0);
+  for (const std::string& d : details) {
+    if (!d.empty()) ADD_FAILURE() << d;
+  }
+}
+
 TEST(FuzzQuick, ScheduleGeneratorRespectsInvariants) {
   for (FuzzProfile prof : kProfiles) {
     for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {

@@ -21,7 +21,7 @@
 //                        geo|flap|gray|skew|all]
 //             [--algo ecfd_c|ecfd_c_merged|chandra_toueg|mr_omega]
 //             [--fd ring|heartbeat_p|omega_heartbeat|efficient_p|
-//                   heartbeat_adaptive|hier_c|swim]
+//                   heartbeat_adaptive|hier_c|swim|stable_leader|ecfd]
 //             [--horizon-ms M] [--chaos-end-ms M] [--margin-ms M]
 //             [--out DIR] [--no-shrink] [--replay FILE] [--verbose]
 //             [--trace FILE] [--trace-depth N] [--metrics FILE]
