@@ -211,9 +211,11 @@ bool decode_kv_snapshot(WireReader& r, kv::SnapshotChunk* out,
   out->index = r.u32();
   out->total = r.u32();
   const std::uint32_t len = r.u32();
+  // total sizes the receiver's reassembly table, so it is capped like every
+  // other element count: 65,536 chunks of 32 KiB, a 2 GiB image.
   if (!r.ok() || out->upto_slot < 0 || out->total == 0 ||
-      out->index >= out->total || len > kv::kMaxSnapshotChunkBytes ||
-      len > r.remaining()) {
+      out->total > kMaxElements || out->index >= out->total ||
+      len > kv::kMaxSnapshotChunkBytes || len > r.remaining()) {
     return set_error(error, "bad kv snapshot chunk");
   }
   out->bytes.resize(len);

@@ -17,6 +17,7 @@
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
 #include "scenario_util.hpp"
+#include "wire/codec.hpp"
 
 namespace ecfd::kv {
 namespace {
@@ -256,6 +257,51 @@ TEST(KvService, PartitionedReplicaCatchesUpViaSnapshotInstall) {
   EXPECT_GT(c->logs[2]->compacted_upto(), 0) << "installed, not replayed";
   // The installed session table keeps dedup working on the joiner.
   EXPECT_EQ(c->services[2]->store().session_last_seq(kSess), 24u);
+}
+
+TEST(KvService, LeaderKeepsServingAfterHostileAndMaximalSnapshotChunks) {
+  auto c = make_cluster(3, 7);
+  c->sys->start();
+  c->sys->run_until(msec(600));  // > lease_establish: p0 leads with a lease
+  ASSERT_TRUE(c->services[0]->lease_valid());
+
+  // A peer datagram reaches the service only if it decodes. One whose
+  // chunk count would size a ~100 GB reassembly table must not.
+  SnapshotChunk chunk;
+  chunk.snap_id = 0xBAD;
+  chunk.upto_slot = 1 << 20;  // far ahead: the service would take it
+  chunk.index = 0;
+  chunk.total = 0xFFFFFFFFu;
+  auto from_peer = [&chunk]() {
+    std::vector<std::uint8_t> frame;
+    Message m = Message::make(protocol_ids::kKvService, kMsgSnapshotChunk,
+                              "kv.snap", chunk);
+    m.src = 1;
+    m.dst = 0;
+    EXPECT_TRUE(wire::encode_message(m, &frame));
+    return wire::decode_message(frame);
+  };
+  ASSERT_FALSE(from_peer().has_value()) << "hostile chunk count decoded";
+
+  // The largest legal chunk: the last of kMaxElements, a full 32 KiB.
+  chunk.total = wire::kMaxElements;
+  chunk.index = wire::kMaxElements - 1;
+  chunk.bytes.assign(kMaxSnapshotChunkBytes, 0x5A);
+  const auto legal = from_peer();
+  ASSERT_TRUE(legal.has_value());
+  c->sys->host(0).deliver(*legal);
+
+  // The leader still commits writes and answers lease reads.
+  c->services[0]->handle_request(1, open_req(1));
+  c->services[0]->handle_request(1, write_req(2, 1, "k", "v"));
+  c->sys->run_until(sec(2));
+  c->services[0]->handle_request(1, read_req(3, "k", /*lease=*/true));
+  for (std::uint64_t tag : {1u, 2u, 3u}) {
+    const Reply* r = reply_with_tag(*c, 0, tag);
+    ASSERT_NE(r, nullptr) << "tag " << tag;
+    EXPECT_EQ(r->status, Status::kOk) << "tag " << tag;
+  }
+  EXPECT_EQ(reply_with_tag(*c, 0, 3)->results[0].value, "v");
 }
 
 TEST(KvService, IdleClusterConsumesNoSlots) {

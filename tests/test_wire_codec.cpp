@@ -354,6 +354,29 @@ TEST(WireCodec, KvSnapshotChunkRoundTrip) {
   EXPECT_EQ(d.bytes, chunk.bytes);
 }
 
+TEST(WireCodec, KvSnapshotChunkTotalIsBoundedOnDecode) {
+  // `total` sizes the receiver's reassembly table: one 66-byte datagram
+  // claiming 2^32 - 1 chunks would make KvService allocate ~100 GB. The
+  // cap is kMaxElements (65,536 chunks of 32 KiB, a 2 GiB image).
+  kv::SnapshotChunk chunk;
+  chunk.snap_id = 9;
+  chunk.upto_slot = 1;
+  chunk.index = 0;
+  chunk.bytes = {1, 2, 3};
+  for (const std::uint32_t total : {kMaxElements + 1, 0xFFFFFFFFu}) {
+    chunk.total = total;
+    const auto frame = encode_ok(Message::make(
+        protocol_ids::kKvService, kv::kMsgSnapshotChunk, "kv.snap", chunk));
+    EXPECT_FALSE(decode_message(frame).has_value()) << "total " << total;
+  }
+  chunk.total = kMaxElements;
+  chunk.index = kMaxElements - 1;
+  const Message out = roundtrip(Message::make(
+      protocol_ids::kKvService, kv::kMsgSnapshotChunk, "kv.snap", chunk));
+  EXPECT_EQ(out.as<kv::SnapshotChunk>().total, kMaxElements);
+  EXPECT_EQ(out.as<kv::SnapshotChunk>().index, kMaxElements - 1);
+}
+
 TEST(WireCodec, KvBoundsAreEnforcedOnDecode) {
   // An op-count beyond kMaxOpsPerRequest, an out-of-range op kind, an
   // out-of-range status, and a chunk with index >= total must all be
