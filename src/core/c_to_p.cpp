@@ -39,12 +39,17 @@ void CToP::alive_tick() {
 void CToP::leader_tick() {
   const bool leader_now = trusted_src_->trusted() == env_.self();
   if (leader_now && !acting_leader_) {
-    // Leadership just acquired: nobody has been reporting to us, so grant
-    // every process a fresh grace period instead of mass-suspecting on
-    // stale timestamps. (Transient leaders are allowed by ◇C; this only
-    // reduces noise, eventual properties do not depend on it.)
+    // Leadership just acquired. The process whose lists we were adopting
+    // keeps its stamp: its silence since its last list is evidence, so a
+    // crashed predecessor is suspected at this very tick once Δ has passed
+    // since it spoke. Everyone else reported to that predecessor, not to
+    // us, so they get a fresh grace period instead of a mass suspicion on
+    // stale stamps. A wrong suspicion is a ◇P mistake that the suspect's
+    // next I-AM-ALIVE repairs (Task 4).
     const TimeUs now = env_.now();
-    for (auto& t : last_alive_) t = now;
+    for (ProcessId q = 0; q < env_.n(); ++q) {
+      if (q != list_src_) last_alive_[static_cast<std::size_t>(q)] = now;
+    }
     local_list_.clear();
     env_.trace("ctp.leader", "acquired");
   }
@@ -70,10 +75,11 @@ void CToP::leader_tick() {
 }
 
 void CToP::on_message(const Message& m) {
+  // Any message of ours, an I-AM-ALIVE or a list, shows its sender alive.
+  const auto i = static_cast<std::size_t>(m.src);
+  last_alive_[i] = env_.now();
   switch (m.type) {
     case kAlive: {
-      const auto i = static_cast<std::size_t>(m.src);
-      last_alive_[i] = env_.now();
       if (local_list_.contains(m.src)) {
         // Task 4: a suspected process spoke up — mistake; widen timeout.
         local_list_.remove(m.src);
@@ -88,6 +94,7 @@ void CToP::on_message(const Message& m) {
       if (m.src == trusted_src_->trusted()) {
         adopted_ = m.as<ProcessSet>();
         adopted_.remove(env_.self());
+        list_src_ = m.src;
       }
       break;
     }

@@ -33,6 +33,28 @@
 ///
 /// The transformation queries D only for its trusted process, so it works
 /// verbatim on top of a plain Omega detector too (as the paper notes).
+///
+/// Takeover rule (how Task 3 starts when a process becomes leader; Fig. 2
+/// leaves it open). Every CToP message from q, an I-AM-ALIVE or a list,
+/// stamps q's last-heard time. A new leader keeps the stamp of the process
+/// whose lists it was adopting — its predecessor — and grants a fresh
+/// grace period Δ only to the others, which were reporting to the
+/// predecessor and about which it has no evidence. A crashed predecessor
+/// is therefore suspected at the first Task 3 check after the takeover,
+/// and failover costs Omega's election plus at most one list period, not
+/// election plus a whole Δ.
+///
+/// Theorem 1 still holds. Strong completeness: a crashed process sends
+/// nothing, so its stamp stops; the eventual leader suspects it at most Δ
+/// after its last message or after the leader's own takeover, whichever is
+/// later, and only an I-AM-ALIVE from it could lift that. Eventual strong
+/// accuracy: once Omega has stabilized on a correct leader ℓ, ℓ takes over
+/// at most once more. A correct predecessor wrongly suspected at that
+/// takeover (say its lists to ℓ were slow) trusts ℓ from then on, so its
+/// next I-AM-ALIVE reaches ℓ over a reliable partially synchronous input
+/// link; Task 4 lifts the suspicion and widens Δ_ℓ, as for any other
+/// mistake. The rule reads only messages ℓ receives, so the leader's
+/// output links may stay fair lossy.
 
 namespace ecfd::core {
 
@@ -59,6 +81,11 @@ class CToP final : public Protocol, public SuspectOracle {
   /// Whether this process currently considers itself the leader.
   [[nodiscard]] bool acting_leader() const { return acting_leader_; }
 
+  /// The current Task 3 timeout Δ_p(q), widened by Task 4 (for tests).
+  [[nodiscard]] DurUs timeout(ProcessId q) const {
+    return timeout_[static_cast<std::size_t>(q)];
+  }
+
  private:
   void alive_tick();  ///< Task 2
   void leader_tick(); ///< Tasks 1 + 3 (+ leadership transitions)
@@ -68,7 +95,8 @@ class CToP final : public Protocol, public SuspectOracle {
   bool acting_leader_{false};
   ProcessSet local_list_;   ///< the list the leader builds (Tasks 3/4)
   ProcessSet adopted_;      ///< the ◇P output (Task 5)
-  std::vector<TimeUs> last_alive_;
+  ProcessId list_src_{kNoProcess};  ///< whose list Task 5 last adopted
+  std::vector<TimeUs> last_alive_;  ///< last CToP message from q, any type
   std::vector<DurUs> timeout_;
 };
 
