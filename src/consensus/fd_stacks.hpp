@@ -66,6 +66,10 @@ struct FdStackInfo {
   const char* name;   ///< canonical (fuzz digests, repro files)
   const char* alias;  ///< short CLI alias, may equal name
   const char* summary;
+  /// Runs on ecfd_node: every message body is in the wire codec's registry
+  /// and no scenario knowledge is needed (false for the script, and for
+  /// hier_c and swim, whose bodies have no wire encoding yet).
+  bool udp;
 };
 
 /// All stacks, in FdStack ordinal order.

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "consensus/fd_stacks.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "net/protocol_ids.hpp"
 #include "transport/node_config.hpp"
@@ -126,6 +127,42 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
       [&] { return fda.suspected().contains(1); }, sec(5));
   EXPECT_TRUE(suspected);
   EXPECT_GT(a.counters().get("msg.hb_p.alive.sent"), 0);
+}
+
+TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {
+  // ecfd_node accepts exactly the registry stacks marked udp. Each must
+  // get every message through the wire codec; hier_c and swim are marked
+  // sim-only because their bodies have no encoding, which this also pins.
+  std::uint16_t base = 21300;
+  for (const consensus::FdStackInfo& info : consensus::all_fd_stacks()) {
+    if (info.id == consensus::FdStack::kScriptedStable) continue;
+    SCOPED_TRACE(info.name);
+    const auto peers = loopback_peers(2, base);
+    base += 2;
+    SocketEnv a(options(0, peers));
+    SocketEnv b(options(1, peers));
+    std::string error;
+    ASSERT_TRUE(a.open(&error)) << error;
+    ASSERT_TRUE(b.open(&error)) << error;
+    const auto fa = consensus::install_fd_stack(info.id, a);
+    const auto fb = consensus::install_fd_stack(info.id, b);
+    a.start();
+    b.start();
+    for (int i = 0; i < 20; ++i) {
+      a.run_for(msec(5));
+      b.run_for(msec(5));
+    }
+    const std::int64_t failed = a.counters().get("net.encode_error") +
+                                b.counters().get("net.encode_error");
+    if (info.udp) {
+      EXPECT_EQ(failed, 0);
+      EXPECT_GT(a.counters().get("net.recv.p1") +
+                    b.counters().get("net.recv.p0"),
+                0);
+    } else {
+      EXPECT_GT(failed, 0) << "encodes now: mark it udp";
+    }
+  }
 }
 
 TEST(SocketTransport, InjectedLossAndDelayStillConverge) {

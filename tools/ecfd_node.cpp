@@ -12,13 +12,14 @@
 //             [--report-ms MS] [--verbose] [--metrics-port P]
 //             [--metrics FILE] [--trace FILE]
 //
-//   --fd F       any stack of the shared registry (consensus/fd_stacks.hpp)
-//                but `scripted`, built with the config's [cluster] timings:
-//                ring, heartbeat_p, omega_heartbeat, efficient_p,
-//                heartbeat_adaptive, hier_c, swim, stable_leader (ADFT
-//                stable Omega; suspects everyone but the leader) and ecfd
-//                (the paper's stack: stable Omega -> Fig. 2 -> ◇P); CLI
-//                aliases work too (overrides the config's `fd` key)
+//   --fd F       a stack of the shared registry (consensus/fd_stacks.hpp)
+//                that runs over UDP, built with the config's [cluster]
+//                timings: ring, heartbeat_p, omega_heartbeat, efficient_p,
+//                heartbeat_adaptive, stable_leader (ADFT stable Omega;
+//                suspects everyone but the leader) and ecfd (the paper's
+//                stack: stable Omega -> Fig. 2 -> ◇P); CLI aliases work
+//                too (overrides the config's `fd` key). The script, hier_c
+//                and swim are sim-only.
 //   --backend B  poll          poll(2) + sendmmsg/recvmmsg UDP event loop
 //                uring         io_uring: multishot receive into registered
 //                              buffers, one submit syscall per tick of
@@ -91,12 +92,11 @@ namespace {
 volatile std::sig_atomic_t g_stop = 0;
 void handle_signal(int) { g_stop = 1; }
 
-/// The --fd values this node accepts: every registry stack but the
-/// simulator-only script, which needs the scenario's crash plan.
+/// The --fd values this node accepts: the registry stacks that run over UDP.
 std::string fd_choices() {
   std::string out;
   for (const consensus::FdStackInfo& info : consensus::all_fd_stacks()) {
-    if (info.id == consensus::FdStack::kScriptedStable) continue;
+    if (!info.udp) continue;
     out += out.empty() ? "" : " | ";
     out += info.name;
   }
@@ -348,9 +348,9 @@ int main(int argc, char** argv) {
   }
 
   const consensus::FdStackInfo* fd_info = consensus::fd_stack_by_name(fd_name);
-  if (fd_info == nullptr || fd_info->id == consensus::FdStack::kScriptedStable) {
-    std::cerr << "ecfd_node: unknown fd '" << fd_name << "' (" << fd_choices()
-              << ")\n";
+  if (fd_info == nullptr || !fd_info->udp) {
+    std::cerr << "ecfd_node: " << (fd_info == nullptr ? "unknown" : "sim-only")
+              << " fd '" << fd_name << "' (" << fd_choices() << ")\n";
     return 2;
   }
   consensus::FdTimings timings;
