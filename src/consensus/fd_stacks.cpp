@@ -23,7 +23,8 @@ const std::vector<FdStackInfo>& all_fd_stacks() {
       {FdStack::kStableLeader, "stable_leader", "stable",
        "ADFT stable Omega; suspects everyone but the leader", true},
       {FdStack::kEcfd, "ecfd", "ecfd",
-       "the paper's stack: stable Omega -> Fig. 2 ◇P, 2(n-1) msgs/period", true},
+       "the paper's stack: stable Omega -> Fig. 2 ◇P, 2(n-1) msgs/period",
+       true},
   };
   return kStacks;
 }

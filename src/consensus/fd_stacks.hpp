@@ -167,7 +167,8 @@ FdInstallation install_fd_stack(FdStack f, Host& host,
               ? fd::ewa_only_script(n, host.self(), leader, params.stable_at)
               : fd::stable_script(n, host.self(), params.crashed, leader,
                                   params.stable_at));
-      adopt(out, std::make_unique<core::EcfdFromSAndOmega>(&scripted, &scripted),
+      adopt(out,
+            std::make_unique<core::EcfdFromSAndOmega>(&scripted, &scripted),
             &scripted, &scripted);
       break;
     }

@@ -39,13 +39,10 @@ void CToP::alive_tick() {
 void CToP::leader_tick() {
   const bool leader_now = trusted_src_->trusted() == env_.self();
   if (leader_now && !acting_leader_) {
-    // Leadership just acquired. The process whose lists we were adopting
-    // keeps its stamp: its silence since its last list is evidence, so a
-    // crashed predecessor is suspected at this very tick once Δ has passed
-    // since it spoke. Everyone else reported to that predecessor, not to
-    // us, so they get a fresh grace period instead of a mass suspicion on
-    // stale stamps. A wrong suspicion is a ◇P mistake that the suspect's
-    // next I-AM-ALIVE repairs (Task 4).
+    // Leadership just acquired (the takeover rule, see c_to_p.hpp). The
+    // predecessor whose lists we adopted keeps its stamp, so once dead it
+    // is suspected below at once; the others reported to it, not to us,
+    // so they get a fresh grace period instead of stale-stamp suspicions.
     const TimeUs now = env_.now();
     for (ProcessId q = 0; q < env_.n(); ++q) {
       if (q != list_src_) last_alive_[static_cast<std::size_t>(q)] = now;

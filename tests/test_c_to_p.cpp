@@ -212,8 +212,9 @@ ShippedStack make_shipped(int n, std::uint64_t seed) {
 
 /// Runs \p sys to \p until in 1 ms steps and returns, per predicate, the
 /// first step at which it held (kTimeNever if it never did).
-std::vector<TimeUs> first_times(System& sys, TimeUs until,
-                                const std::vector<std::function<bool()>>& preds) {
+std::vector<TimeUs> first_times(
+    System& sys, TimeUs until,
+    const std::vector<std::function<bool()>>& preds) {
   std::vector<TimeUs> first(preds.size(), kTimeNever);
   while (sys.now() < until) {
     sys.run_for(msec(1));
