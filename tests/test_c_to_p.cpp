@@ -301,7 +301,7 @@ TEST(CToP, WrongTakeoverSuspicionIsRepairedByTheFirstIAmAlive) {
   const auto t = first_times(
       *sys, sec(6),
       {[&ctp1] { return ctp1.acting_leader(); },
-       [&ctp1, &seen] { return seen = ctp1.suspected().contains(0); },
+       [&ctp1, &seen] { return seen = seen || ctp1.suspected().contains(0); },
        [&ctp1, &seen] { return seen && !ctp1.suspected().contains(0); },
        [&omega0] { return omega0.trusted() == 1; }});
   const TimeUs takeover = t[0];
