@@ -34,6 +34,10 @@ std::string param_name(const ::testing::TestParamInfo<SweepParam>& info) {
     case FdStack::kEfficientP: fd = "effp"; break;
     case FdStack::kScriptedStable: fd = "script"; break;
     case FdStack::kHeartbeatAdaptive: fd = "hbad"; break;
+    case FdStack::kHierC: fd = "hier"; break;
+    case FdStack::kSwim: fd = "swim"; break;
+    case FdStack::kStableLeader: fd = "stable"; break;
+    case FdStack::kEcfd: fd = "ecfd"; break;
   }
   return algo + "_" + fd + "_n" + std::to_string(p.n) + "f" +
          std::to_string(p.crashes) + "s" + std::to_string(p.seed);
