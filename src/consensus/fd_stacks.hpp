@@ -47,10 +47,14 @@ struct FdInstallation {
 /// defaults equal each protocol's own Config defaults, so the simulator
 /// (which passes FdTimings{}) builds exactly the configurations its pinned
 /// digests were taken on; ecfd_node passes its INI's [cluster] timings.
+/// Stacks on predicted deadlines (heartbeat_adaptive, stable_leader, ecfd)
+/// use initial_timeout as the fallback before a peer's ArrivalPredictor
+/// warms up; stable_leader and ecfd also widen the margin α by
+/// timeout_increment on each mistake.
 struct FdTimings {
   DurUs period{msec(10)};            ///< beat / poll / probe period
   DurUs initial_timeout{msec(30)};   ///< initial per-target timeout Δ
-  DurUs timeout_increment{msec(10)}; ///< Δ widening on each mistake
+  DurUs timeout_increment{msec(10)}; ///< Δ (or α) widening per mistake
 };
 
 /// Scenario-derived inputs some stacks need (today: kScriptedStable).
@@ -196,7 +200,8 @@ FdInstallation install_fd_stack(FdStack f, Host& host,
     case FdStack::kEcfd: {
       // The paper's composition: a stable Omega, transformed to ◇P by the
       // Fig. 2 algorithm (2(n-1) messages per period in total), and
-      // re-packaged as a ◇C with the transformed (accurate) lists.
+      // re-packaged as a ◇C with the transformed (accurate) lists. Both
+      // time peers out on predicted deadlines (fd/adaptive_timeout.hpp).
       auto& sl = host.template emplace<fd::StableLeader>(
           timed<fd::StableLeader::Config>(timings));
       core::CToP::Config tc;

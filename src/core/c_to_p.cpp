@@ -17,7 +17,10 @@ CToP::CToP(Env& env, const LeaderOracle* trusted_src, Config cfg)
       local_list_(env.n()),
       adopted_(env.n()),
       last_alive_(static_cast<std::size_t>(env.n()), 0),
-      timeout_(static_cast<std::size_t>(env.n()), cfg.initial_timeout) {}
+      arrivals_(static_cast<std::size_t>(env.n()),
+                fd::ArrivalPredictor(
+                    fd::ArrivalPredictor::Config::from_timeouts(
+                        cfg.initial_timeout, cfg.timeout_increment))) {}
 
 void CToP::start() {
   env_.set_timer(env_.rng().range(0, cfg_.alive_period),
@@ -40,12 +43,16 @@ void CToP::leader_tick() {
   const bool leader_now = trusted_src_->trusted() == env_.self();
   if (leader_now && !acting_leader_) {
     // Leadership just acquired (the takeover rule, see c_to_p.hpp). The
-    // predecessor whose lists we adopted keeps its stamp, so once dead it
-    // is suspected below at once; the others reported to it, not to us,
-    // so they get a fresh grace period instead of stale-stamp suspicions.
+    // predecessor whose lists we adopted keeps the predictor they fed, so
+    // once dead it is suspected below at once; the others reported to it,
+    // not to us, so they restart on the fallback instead of being judged
+    // on stale arrivals.
     const TimeUs now = env_.now();
     for (ProcessId q = 0; q < env_.n(); ++q) {
-      if (q != list_src_) last_alive_[static_cast<std::size_t>(q)] = now;
+      if (q == list_src_) continue;
+      const auto i = static_cast<std::size_t>(q);
+      last_alive_[i] = now;
+      arrivals_[i].restart();
     }
     local_list_.clear();
     env_.trace("ctp.leader", "acquired");
@@ -53,12 +60,13 @@ void CToP::leader_tick() {
   acting_leader_ = leader_now;
 
   if (acting_leader_) {
-    // Task 3: time out silent processes.
+    // Task 3: suspect processes silent past their predicted deadline.
     const TimeUs now = env_.now();
     for (ProcessId q = 0; q < env_.n(); ++q) {
       if (q == env_.self()) continue;  // the leader never suspects itself
       const auto i = static_cast<std::size_t>(q);
-      if (!local_list_.contains(q) && now - last_alive_[i] > timeout_[i]) {
+      if (!local_list_.contains(q) &&
+          now > arrivals_[i].deadline(last_alive_[i])) {
         local_list_.add(q);
         env_.record(EventType::kSuspect, q);
       }
@@ -75,12 +83,13 @@ void CToP::on_message(const Message& m) {
   // Any message of ours, an I-AM-ALIVE or a list, shows its sender alive.
   const auto i = static_cast<std::size_t>(m.src);
   last_alive_[i] = env_.now();
+  arrivals_[i].observe(last_alive_[i]);
   switch (m.type) {
     case kAlive: {
       if (local_list_.contains(m.src)) {
-        // Task 4: a suspected process spoke up — mistake; widen timeout.
+        // Task 4: a suspected process spoke up — mistake; widen α.
         local_list_.remove(m.src);
-        timeout_[i] += cfg_.timeout_increment;
+        arrivals_[i].note_mistake();
         env_.record(EventType::kUnsuspect, m.src);
       }
       break;

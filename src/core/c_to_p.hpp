@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "core/ecfd_oracle.hpp"
+#include "fd/adaptive_timeout.hpp"
 #include "net/env.hpp"
 #include "net/protocol_ids.hpp"
 
@@ -17,10 +18,10 @@
 ///   Task 1 (leader only)  — periodically send the local suspected list to
 ///                           every other process.
 ///   Task 2 (everyone)     — periodically send I-AM-ALIVE to D.trusted_p.
-///   Task 3 (leader only)  — suspect q when no I-AM-ALIVE arrived within
-///                           the per-target timeout Δ_p(q).
+///   Task 3 (leader only)  — suspect q when no I-AM-ALIVE arrived by
+///                           q's deadline (the deadline rule below).
 ///   Task 4 (leader only)  — on I-AM-ALIVE from a suspected q: stop
-///                           suspecting q and increase Δ_p(q).
+///                           suspecting q and widen q's margin α_p(q).
 ///   Task 5 (everyone)     — on receiving a suspected list from the
 ///                           process currently trusted: adopt it as own
 ///                           output (never adopting a suspicion of self).
@@ -34,27 +35,42 @@
 /// The transformation queries D only for its trusted process, so it works
 /// verbatim on top of a plain Omega detector too (as the paper notes).
 ///
-/// Takeover rule (how Task 3 starts when a process becomes leader; Fig. 2
-/// leaves it open). Every CToP message from q, an I-AM-ALIVE or a list,
-/// stamps q's last-heard time. A new leader keeps the stamp of the process
-/// whose lists it was adopting — its predecessor — and grants a fresh
-/// grace period Δ only to the others, which were reporting to the
-/// predecessor and about which it has no evidence. A crashed predecessor
-/// is therefore suspected at the first Task 3 check after the takeover,
-/// and failover costs Omega's election plus at most one list period, not
-/// election plus a whole Δ.
+/// Deadline rule (Tasks 3 and 4). The paper's Task 3 waits a per-target
+/// timeout Δ_p(q) after q's last I-AM-ALIVE. Here Δ is predicted instead:
+/// every CToP message from q, an I-AM-ALIVE or a list, feeds a Chen-style
+/// ArrivalPredictor (fd/adaptive_timeout.hpp), and the leader suspects q
+/// once `now` passes last arrival + windowed mean inter-arrival + a margin
+/// α_p(q). Before two arrivals have warmed it up, the deadline is the last
+/// arrival (or the restart) + initial_timeout, the fallback. Task 4 widens
+/// α_p(q), and the fallback with it, by timeout_increment.
 ///
-/// Theorem 1 still holds. Strong completeness: a crashed process sends
-/// nothing, so its stamp stops; the eventual leader suspects it at most Δ
-/// after its last message or after the leader's own takeover, whichever is
-/// later, and only an I-AM-ALIVE from it could lift that. Eventual strong
-/// accuracy: once Omega has stabilized on a correct leader ℓ, ℓ takes over
-/// at most once more. A correct predecessor wrongly suspected at that
-/// takeover (say its lists to ℓ were slow) trusts ℓ from then on, so its
-/// next I-AM-ALIVE reaches ℓ over a reliable partially synchronous input
-/// link; Task 4 lifts the suspicion and widens Δ_ℓ, as for any other
-/// mistake. The rule reads only messages ℓ receives, so the leader's
-/// output links may stay fair lossy.
+/// Takeover rule (how Task 3 starts when a process becomes leader; Fig. 2
+/// leaves it open). A new leader keeps the predictor of the process whose
+/// lists it was adopting — its predecessor, whose lists fed it — and
+/// restarts every other on the fallback: those were reporting to the
+/// predecessor, and it has no evidence about them. A crashed predecessor
+/// is therefore suspected at the first Task 3 check after the takeover,
+/// and failover costs Omega's election plus at most one list period.
+///
+/// Theorem 1 still holds, with α in place of Δ. Strong completeness: a
+/// crashed process sends nothing, so its predictor's deadline stops
+/// moving; the eventual leader suspects it at its first Task 3 check past
+/// that deadline or past its own takeover's fallback, whichever is later,
+/// and only an I-AM-ALIVE from it could lift that. Eventual strong
+/// accuracy: once Omega has stabilized on a correct leader ℓ everywhere, ℓ
+/// takes over at most once more, so it restarts a predictor at most once
+/// more, and every correct q sends ℓ an I-AM-ALIVE each period. After GST
+/// each reaches ℓ at most B after the previous one, for some unknown bound
+/// B, and the predicted gap is never negative; so a wrong suspicion needs
+/// α_ℓ(q) < B (or a fallback < B).
+/// Each one is lifted by q's next I-AM-ALIVE over a reliable partially
+/// synchronous input link and widens both by timeout_increment, so q is
+/// wrongly suspected only finitely often. A correct predecessor wrongly
+/// suspected at the takeover (say its lists to ℓ were slow) trusts ℓ from
+/// then on and is repaired the same way. The predictor caps α at its 5 s
+/// max_alpha, which is the practical bound: the argument covers links
+/// whose post-GST B stays below it. The rule reads only messages ℓ
+/// receives, so the leader's output links may stay fair lossy.
 
 namespace ecfd::core {
 
@@ -63,8 +79,8 @@ class CToP final : public Protocol, public SuspectOracle {
   struct Config {
     DurUs alive_period{msec(10)};   ///< Task 2 period Φ
     DurUs list_period{msec(10)};    ///< Task 1 period
-    DurUs initial_timeout{msec(30)};
-    DurUs timeout_increment{msec(10)};
+    DurUs initial_timeout{msec(30)};    ///< fallback before warm-up
+    DurUs timeout_increment{msec(10)};  ///< α widening per Task 4 repair
   };
 
   /// \p trusted_src is this process's local module of the input detector D
@@ -81,9 +97,9 @@ class CToP final : public Protocol, public SuspectOracle {
   /// Whether this process currently considers itself the leader.
   [[nodiscard]] bool acting_leader() const { return acting_leader_; }
 
-  /// The current Task 3 timeout Δ_p(q), widened by Task 4 (for tests).
-  [[nodiscard]] DurUs timeout(ProcessId q) const {
-    return timeout_[static_cast<std::size_t>(q)];
+  /// The Task 3 deadline source for q, widened by Task 4 (for tests).
+  [[nodiscard]] const fd::ArrivalPredictor& predictor(ProcessId q) const {
+    return arrivals_[static_cast<std::size_t>(q)];
   }
 
  private:
@@ -97,7 +113,7 @@ class CToP final : public Protocol, public SuspectOracle {
   ProcessSet adopted_;      ///< the ◇P output (Task 5)
   ProcessId list_src_{kNoProcess};  ///< whose list Task 5 last adopted
   std::vector<TimeUs> last_alive_;  ///< last CToP message from q, any type
-  std::vector<DurUs> timeout_;
+  std::vector<fd::ArrivalPredictor> arrivals_;  ///< Task 3 deadlines
 };
 
 }  // namespace ecfd::core

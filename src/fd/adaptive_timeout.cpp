@@ -53,6 +53,11 @@ void ArrivalPredictor::note_mistake() {
   alpha_ = std::min(alpha_ + cfg_.alpha_increment, cfg_.max_alpha);
 }
 
+void ArrivalPredictor::restart() {
+  count_ = 0;
+  next_ = 0;
+}
+
 DurUs ArrivalPredictor::mean_interval() const {
   const auto have = static_cast<std::size_t>(std::clamp<std::int64_t>(
       count_ - 1, 0, static_cast<std::int64_t>(intervals_.size())));
@@ -68,7 +73,7 @@ TimeUs ArrivalPredictor::predicted_next() const {
 }
 
 TimeUs ArrivalPredictor::deadline(TimeUs ref) const {
-  if (!warmed_up()) return ref + cfg_.fallback_timeout;
+  if (!warmed_up()) return ref + cfg_.fallback_timeout + alpha_ - cfg_.alpha;
   return predicted_next() + alpha_;
 }
 

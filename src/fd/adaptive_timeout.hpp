@@ -21,6 +21,13 @@
 /// mistakes convergence argument of [6] is preserved — the predictor only
 /// moves the baseline from a worst-case constant to the observed arrival
 /// process.
+///
+/// The same deadline rule drives the paper's own stack: StableLeader's
+/// leader timeout and Tasks 3/4 of Fig. 2 (core/c_to_p.hpp). Those
+/// protocols watch a peer only while it plays a role (leader, or a process
+/// reporting to this leader), so they restart() its predictor when the
+/// role begins; it then runs on the fallback until two new arrivals warm
+/// it up again.
 
 namespace ecfd::fd {
 
@@ -39,6 +46,17 @@ class ArrivalPredictor {
     /// never widens keeps making the same mistake forever and loses
     /// eventual accuracy on any link whose jitter exceeds alpha.
     bool widen_on_mistake{true};
+
+    /// What a protocol's timeout schedule means on predicted deadlines:
+    /// \p initial_timeout is the fallback before warm-up, and alpha
+    /// widens by \p timeout_increment on each mistake.
+    static Config from_timeouts(DurUs initial_timeout,
+                                DurUs timeout_increment) {
+      Config c;
+      c.fallback_timeout = initial_timeout;
+      c.alpha_increment = timeout_increment;
+      return c;
+    }
   };
 
   /// Aggregate predicted-vs-actual quality, exported into obs metrics.
@@ -65,6 +83,11 @@ class ArrivalPredictor {
   /// mutation hook froze it).
   void note_mistake();
 
+  /// Forgets the arrivals seen so far, so the deadline falls back to ref +
+  /// fallback until two new arrivals warm the predictor up again. Alpha,
+  /// with every widening so far, and the stats are kept.
+  void restart();
+
   /// True once two arrivals produced the first inter-arrival sample.
   [[nodiscard]] bool warmed_up() const { return count_ >= 2; }
 
@@ -76,7 +99,11 @@ class ArrivalPredictor {
   [[nodiscard]] TimeUs predicted_next() const;
 
   /// Suspicion deadline: predicted_next() + alpha once warmed up, else
-  /// \p ref + fallback_timeout (ref = last heard / start of observation).
+  /// \p ref + fallback_timeout (ref = last heard / start of observation),
+  /// widened by as much as alpha has been. The fallback widens too because
+  /// restart() can bring it back any number of times: a fixed one shorter
+  /// than a link's inter-arrival bound would repeat its mistake after
+  /// every restart.
   [[nodiscard]] TimeUs deadline(TimeUs ref) const;
 
   [[nodiscard]] DurUs alpha() const { return alpha_; }

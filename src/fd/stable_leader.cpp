@@ -11,7 +11,9 @@ StableLeader::StableLeader(Env& env, Config cfg)
       cfg_(cfg),
       counters_(static_cast<std::size_t>(env.n()), 0),
       last_heard_(static_cast<std::size_t>(env.n()), 0),
-      timeout_(static_cast<std::size_t>(env.n()), cfg.initial_timeout) {}
+      arrivals_(static_cast<std::size_t>(env.n()),
+                ArrivalPredictor(ArrivalPredictor::Config::from_timeouts(
+                    cfg.initial_timeout, cfg.timeout_increment))) {}
 
 void StableLeader::start() {
   env_.set_timer(env_.rng().range(0, cfg_.period), [this]() { tick(); });
@@ -28,30 +30,34 @@ ProcessId StableLeader::trusted() const {
   return best;
 }
 
+void StableLeader::restart(std::size_t q) {
+  last_heard_[q] = env_.now();
+  arrivals_[q].restart();
+}
+
 void StableLeader::tick() {
   const ProcessId leader = trusted();
+  const auto i = static_cast<std::size_t>(leader);
   if (leader != observed_leader_) {
     ++leader_changes_;
     observed_leader_ = leader;
     env_.record(EventType::kLeaderChange, leader);
-    // Fresh leader: grant a grace period so we don't instantly accuse a
-    // process we were not monitoring before.
-    last_heard_[static_cast<std::size_t>(leader)] = env_.now();
+    // Fresh leader: we were not hearing its beats before, so grant it the
+    // fallback rather than accuse it on stale arrivals.
+    restart(i);
   }
 
   if (leader == env_.self()) {
     env_.broadcast(Message::make(protocol_id(), kOk, "sl.ok", counters_));
-  } else {
-    const auto i = static_cast<std::size_t>(leader);
-    if (env_.now() - last_heard_[i] > timeout_[i]) {
-      // Accuse: charge the leader and tell everyone, so counters converge.
-      ++counters_[i];
-      timeout_[i] += cfg_.timeout_increment;
-      last_heard_[i] = env_.now();  // restart the clock for the next check
-      env_.trace("sl.accuse", "p" + std::to_string(leader));
-      env_.broadcast(Message::make(protocol_id(), kAccuse, "sl.accuse",
-                                   counters_));
-    }
+  } else if (env_.now() > arrivals_[i].deadline(last_heard_[i])) {
+    // Accuse: charge the leader, widen α, and tell everyone, so counters
+    // converge. Should it stay leader, it starts over on the fallback.
+    ++counters_[i];
+    arrivals_[i].note_mistake();
+    restart(i);
+    env_.trace("sl.accuse", "p" + std::to_string(leader));
+    env_.broadcast(
+        Message::make(protocol_id(), kAccuse, "sl.accuse", counters_));
   }
   env_.set_timer(cfg_.period, [this]() { tick(); });
 }
@@ -66,7 +72,9 @@ void StableLeader::on_message(const Message& m) {
   const auto& remote = m.as<std::vector<std::uint64_t>>();
   merge(remote);
   if (m.type == kOk) {
-    last_heard_[static_cast<std::size_t>(m.src)] = env_.now();
+    const auto i = static_cast<std::size_t>(m.src);
+    last_heard_[i] = env_.now();
+    arrivals_[i].observe(last_heard_[i]);
   }
 }
 

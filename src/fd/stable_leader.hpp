@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "fd/adaptive_timeout.hpp"
 #include "fd/oracle.hpp"
 #include "net/env.hpp"
 #include "net/protocol_ids.hpp"
@@ -21,14 +22,31 @@
 ///  * the current leader broadcasts OK beats carrying the counter vector
 ///    (n−1 messages per period in the steady state);
 ///  * a process that times out on its current leader increments that
-///    leader's counter, widens the timeout, and broadcasts the accusation
-///    so that everyone converges on the same counters (max-merge).
+///    leader's counter, widens its margin α for it, and broadcasts the
+///    accusation so that everyone converges on the same counters
+///    (max-merge).
+///
+/// Deadline rule (the timeout). Each process runs one Chen-style
+/// ArrivalPredictor (fd/adaptive_timeout.hpp) per peer, fed by that
+/// peer's OK beats, and accuses its leader once `now` passes the
+/// predictor's deadline: last beat + windowed mean inter-beat time + a
+/// margin α. Before two beats have arrived, the deadline is the last beat
+/// (or the restart) + initial_timeout, the fallback. Every accusation
+/// widens α, and the fallback with it, by timeout_increment. A fresh
+/// leader, and an accused one that stays leader, restart on the fallback:
+/// beats heard before the role began predict nothing. In the steady state
+/// a crashed leader is accused within one period + α of its last beat,
+/// plus one check period.
 ///
 /// A crashed leader silently accumulates accusations until it loses the
 /// argmin; a falsely accused leader loses it at most finitely often,
-/// because each mistake widens the accuser's timeout. Unlike the
-/// lowest-id rule of fd/leader_candidate.hpp, leadership does NOT bounce
-/// back to a lower-id process once it has moved on — that is the
+/// because each mistake widens the accuser's α and fallback: once both
+/// exceed the post-GST bound on the gap between two of the leader's beats,
+/// that accuser never accuses it again. α stops at the predictor's 5 s
+/// max_alpha ceiling, so in practice the argument covers links whose
+/// beats are never further apart than that. Unlike
+/// the lowest-id rule of fd/leader_candidate.hpp, leadership does NOT
+/// bounce back to a lower-id process once it has moved on — that is the
 /// stability property, measured by tests as the number of leader changes.
 
 namespace ecfd::fd {
@@ -37,8 +55,8 @@ class StableLeader final : public Protocol, public LeaderOracle {
  public:
   struct Config {
     DurUs period{msec(10)};
-    DurUs initial_timeout{msec(30)};
-    DurUs timeout_increment{msec(10)};
+    DurUs initial_timeout{msec(30)};    ///< fallback before warm-up
+    DurUs timeout_increment{msec(10)};  ///< α widening per accusation
   };
 
   explicit StableLeader(Env& env);
@@ -59,16 +77,22 @@ class StableLeader final : public Protocol, public LeaderOracle {
   /// metric; sampled on the protocol's own period).
   [[nodiscard]] int leader_changes() const { return leader_changes_; }
 
+  /// The deadline source for q's beats (exposed for tests).
+  [[nodiscard]] const ArrivalPredictor& predictor(ProcessId q) const {
+    return arrivals_[static_cast<std::size_t>(q)];
+  }
+
  private:
   enum MsgType { kOk = 1, kAccuse = 2 };
 
   void tick();
   void merge(const std::vector<std::uint64_t>& remote);
+  void restart(std::size_t q);  ///< q's deadline back on the fallback
 
   Config cfg_;
   std::vector<std::uint64_t> counters_;
   std::vector<TimeUs> last_heard_;
-  std::vector<DurUs> timeout_;
+  std::vector<ArrivalPredictor> arrivals_;
   ProcessId observed_leader_{kNoProcess};
   int leader_changes_{-1};  ///< first observation is not a "change"
 };

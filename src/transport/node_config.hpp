@@ -18,8 +18,14 @@
 ///   seed = 1
 ///   fd = efficient_p          ; any consensus/fd_stacks.hpp stack but scripted
 ///   period_ms = 50
-///   initial_timeout_ms = 250
+///   initial_timeout_ms = 250  ; static stacks: the initial timeout Δ;
+///                             ; ecfd, stable_leader, heartbeat_adaptive:
+///                             ; the fallback used until two beats from a
+///                             ; peer warm its arrival predictor up
 ///   timeout_increment_ms = 100
+///                             ; static stacks: Δ widening per mistake;
+///                             ; ecfd, stable_leader: widening of the
+///                             ; margin α, and of the fallback, per mistake
 ///   consensus = false
 ///   backend = poll            ; poll | uring (uring degrades to poll when
 ///                             ; the kernel lacks io_uring)

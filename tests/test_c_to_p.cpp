@@ -183,7 +183,8 @@ TEST(CToP, ActingLeaderFlagTracksTrustedSelf) {
 // --- takeover on the shipped stack ---------------------------------------
 //
 // fd=ecfd (stable Omega -> CToP), installed through the shared factory with
-// the timings ecfd_node's INI and kvbench use: period 50 ms, Δ 250 ms.
+// the timings ecfd_node's INI and kvbench use: period 50 ms, fallback
+// 250 ms, α step 100 ms.
 
 consensus::FdTimings node_timings() {
   consensus::FdTimings t;
@@ -265,24 +266,29 @@ TEST(CToP, NewLeaderTimesOutItsCrashedPredecessorFromItsLastList) {
   ASSERT_NE(trusts_self, kTimeNever) << "Omega never moved to p1";
   ASSERT_NE(suspects_old, kTimeNever) << "p1 never suspected the dead p0";
   // Omega's election is T_Ω; the predecessor's silence since its last list
-  // already exceeds Δ, so the first Task 3 check after takeover suspects it.
+  // already passes its predicted deadline (last list + one period + α), so
+  // the first Task 3 check after takeover suspects it.
   EXPECT_LE(suspects_old - trusts_self, list_period)
       << "T_Ω = " << (trusts_self - crash) << " us";
   // Phases 2 and 4 stop waiting for the dead process at once, so the slot
-  // decides within T_Ω plus two list periods of the crash.
+  // decides within T_Ω plus two list periods of the crash. T_Ω itself is
+  // one beat period + α + one check period at most, so the slot decides
+  // well inside the 250 ms fallback.
   ASSERT_NE(decided_at, kTimeNever);
   EXPECT_LT(decided_at, trusts_self + 2 * list_period)
       << "decided " << (decided_at - crash) << " us after the crash, T_Ω = "
       << (trusts_self - crash) << " us";
+  EXPECT_LT(decided_at - crash, msec(200))
+      << "T_Ω = " << (trusts_self - crash) << " us";
   EXPECT_TRUE(s.ctps[2]->suspected().contains(old_leader))
       << "p2 adopts the new leader's list";
 }
 
 TEST(CToP, WrongTakeoverSuspicionIsRepairedByTheFirstIAmAlive) {
   // The old leader stays alive, but from t = 2 s everything it sends p1 is
-  // delayed 600 ms, past Δ. p1's Omega accuses it and takes over, and p1
-  // suspects p0, whose last list is stale: a ◇P mistake. Task 4 must lift
-  // it on p0's first I-AM-ALIVE and widen Δ_p1(p0).
+  // delayed 600 ms, past every deadline. p1's Omega accuses it and takes
+  // over, and p1 suspects p0, whose last list is stale: a ◇P mistake.
+  // Task 4 must lift it on p0's first I-AM-ALIVE and widen α_p1(p0).
   const int n = 3;
   const DurUs slow = msec(600);
   const consensus::FdTimings timings = node_timings();
@@ -319,9 +325,9 @@ TEST(CToP, WrongTakeoverSuspicionIsRepairedByTheFirstIAmAlive) {
   EXPECT_GE(repaired, p0_trusts_p1 - msec(1) + slow);
   EXPECT_LE(repaired, p0_trusts_p1 + timings.period + slow + msec(1));
   EXPECT_FALSE(ctp1.suspected().contains(0));
-  EXPECT_EQ(ctp1.timeout(0),
-            timings.initial_timeout + timings.timeout_increment)
-      << "exactly one mistake, one widening";
+  EXPECT_EQ(ctp1.predictor(0).alpha(),
+            fd::ArrivalPredictor::Config{}.alpha + timings.timeout_increment)
+      << "exactly one mistake, one α widening";
 }
 
 }  // namespace

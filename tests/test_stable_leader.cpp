@@ -6,6 +6,8 @@
 
 #include "fd/leader_candidate.hpp"
 #include "fd_test_util.hpp"
+#include "net/link.hpp"
+#include "net/protocol_ids.hpp"
 #include "scenario_util.hpp"
 
 namespace ecfd {
@@ -115,6 +117,113 @@ TEST(StableLeader, FewLeaderChangesAfterStabilization) {
   sys->run_until(sec(8));
   EXPECT_EQ(fds[1]->leader_changes(), changes_mid)
       << "no further leader changes once stable";
+}
+
+// --- the deadline rule, at the timings ecfd_node's INI and kvbench use ---
+//
+// Period 50 ms, fallback 250 ms, α step 100 ms; α starts at the predictor's
+// default margin.
+
+fd::StableLeader::Config node_config() {
+  fd::StableLeader::Config c;
+  c.period = msec(50);
+  c.initial_timeout = msec(250);
+  c.timeout_increment = msec(100);
+  return c;
+}
+
+constexpr DurUs kAlpha = fd::ArrivalPredictor::Config{}.alpha;
+
+TEST(StableLeader, SurvivorsLeaveACrashedLeaderWithinTwoPeriodsPlusAlpha) {
+  // A survivor's last beat from the dead leader left at most one period
+  // before the crash; the deadline is that beat's arrival + the predicted
+  // gap (one period) + α, and the survivor looks at its next tick, at most
+  // one period later. What is left is the beat's link delay.
+  const int n = 5;
+  const fd::StableLeader::Config c = node_config();
+  const ScenarioConfig sc = testutil::partial_sync_scenario(n, 21, /*gst=*/0);
+  for (TimeUs crash_at : {sec(2), sec(2) + msec(17), sec(2) + msec(33)}) {
+    auto sys = make_system(sc);
+    std::vector<fd::StableLeader*> fds;
+    for (ProcessId p = 0; p < n; ++p) {
+      fds.push_back(&sys->host(p).emplace<fd::StableLeader>(c));
+    }
+    sys->start();
+    sys->run_until(crash_at);
+    for (ProcessId p = 0; p < n; ++p) ASSERT_EQ(fds[p]->trusted(), 0);
+    sys->crash_now(0);
+
+    std::vector<TimeUs> moved(n, kTimeNever);
+    while (sys->now() < crash_at + sec(1)) {
+      sys->run_for(msec(1));
+      for (ProcessId p = 1; p < n; ++p) {
+        if (moved[p] == kTimeNever && fds[p]->trusted() != 0) {
+          moved[p] = sys->now();
+        }
+      }
+    }
+    for (ProcessId p = 1; p < n; ++p) {
+      ASSERT_NE(moved[p], kTimeNever) << "p" << p << " still trusts p0";
+      EXPECT_LE(moved[p] - crash_at, 2 * c.period + kAlpha + sc.delta)
+          << "p" << p << ", crash at " << crash_at << " us";
+      EXPECT_EQ(fds[p]->trusted(), 1) << "a common successor";
+    }
+  }
+}
+
+TEST(StableLeader, OneLateBeatCostsOneAccusationAndOneWidening) {
+  // p0's beats to p2 travel 1 ms, except that twice one beat is held up
+  // 60 ms, so the next beat overtakes it and p2 hears nothing for two
+  // periods: one period past the predicted arrival, beyond α but inside
+  // α + one step. The first time, p2 accuses p0 and widens α; the second
+  // time, the widened margin covers the gap.
+  // Counters start at (0, 1, 1) so that p0 stays leader when accused, as
+  // it does whenever its rivals carry more accusations than it does.
+  const int n = 3;
+  const fd::StableLeader::Config c = node_config();
+  const DurUs late = msec(60);
+  ASSERT_GT(late, c.period) << "the next beat must overtake the late one";
+  ASSERT_GT(c.period, kAlpha);
+  ASSERT_LT(c.period, kAlpha + c.timeout_increment);
+  auto sys = make_system(testutil::partial_sync_scenario(n, 22, /*gst=*/0));
+  std::vector<fd::StableLeader*> fds;
+  for (ProcessId p = 0; p < n; ++p) {
+    fds.push_back(&sys->host(p).emplace<fd::StableLeader>(c));
+    Message history = Message::make(protocol_ids::kStableLeader, /*accuse=*/2,
+                                    "sl.accuse",
+                                    std::vector<std::uint64_t>{0, 1, 1});
+    history.src = 1;
+    history.dst = p;
+    sys->host(p).deliver(history);
+  }
+  auto link = [&sys](DurUs d) {
+    sys->network().set_link(0, 2, std::make_unique<ReliableLink>(d, d));
+  };
+  link(msec(1));
+  auto hold_one_beat = [&](TimeUs at) {
+    sys->run_until(at);
+    link(msec(1) + late);
+    sys->run_until(at + c.period);  // exactly one beat leaves meanwhile
+    link(msec(1));
+  };
+  sys->start();
+
+  hold_one_beat(sec(2));
+  sys->run_until(sec(3));
+  EXPECT_EQ(fds[2]->accusations(0), 1u) << "the late beat is accused once";
+  EXPECT_EQ(fds[2]->predictor(0).alpha(), kAlpha + c.timeout_increment);
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(fds[p]->trusted(), 0) << "p0 stays leader at p" << p;
+  }
+
+  hold_one_beat(sec(4));
+  sys->run_until(sec(5));
+  EXPECT_EQ(fds[2]->accusations(0), 1u) << "the same lateness, accused again";
+  EXPECT_EQ(fds[2]->predictor(0).alpha(), kAlpha + c.timeout_increment);
+  EXPECT_EQ(fds[2]->predictor(0).stats().mistakes, 1);
+  EXPECT_EQ(fds[1]->accusations(0), 1u) << "p1 heard p0 in time throughout";
+  EXPECT_EQ(fds[1]->predictor(0).stats().mistakes, 0);
+  EXPECT_EQ(fds[2]->leader_changes(), 0);
 }
 
 }  // namespace
