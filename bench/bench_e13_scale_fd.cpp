@@ -215,6 +215,7 @@ DetectResult run_detect(Stack s, int n, DurUs period) {
 
   // Each survivor polls its own oracle on its own executor (so reading the
   // protocol is race-free) and publishes its first-detection wall time.
+  // The stored looper holds itself weakly; only its pending task owns it.
   auto detect_at = std::make_unique<std::vector<std::atomic<TimeUs>>>(
       static_cast<std::size_t>(n));
   for (auto& a : *detect_at) a.store(-1, std::memory_order_relaxed);
@@ -223,7 +224,7 @@ DetectResult run_detect(Stack s, int n, DurUs period) {
     if (p == victim) continue;
     runtime::ThreadHost& host = sys.host(p);
     auto looper = std::make_shared<std::function<void()>>();
-    *looper = [&sys, &host, looper,
+    *looper = [&sys, &host, self = std::weak_ptr(looper),
                oracle = oracles[static_cast<std::size_t>(p)],
                slot = &(*detect_at)[static_cast<std::size_t>(p)], victim,
                poll]() {
@@ -231,7 +232,7 @@ DetectResult run_detect(Stack s, int n, DurUs period) {
         slot->store(sys.now(), std::memory_order_relaxed);
         return;  // detected: stop polling
       }
-      host.post_at(sys.now() + poll, [looper]() { (*looper)(); });
+      host.post_at(sys.now() + poll, [l = self.lock()]() { (*l)(); });
     };
     host.post_at(0, [looper]() { (*looper)(); });
   }

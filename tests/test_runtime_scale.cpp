@@ -163,15 +163,18 @@ TEST(RuntimeScale, HierDigestReachesRemoteCellN4096) {
   sys.host(victim).crash();
 
   // Observer p1 sits in cell 0 — it can only learn of the crash through
-  // the composed digest. Poll its oracle on its own executor.
+  // the composed digest. Poll its oracle on its own executor. The stored
+  // poller holds itself weakly; only the posted tasks own it, so no cycle
+  // outlives the test.
   std::atomic<bool> adopted{false};
   auto poller = std::make_shared<std::function<void()>>();
-  *poller = [&sys, &adopted, &fds, poller, victim]() {
+  *poller = [&sys, &adopted, &fds, self = std::weak_ptr(poller), victim]() {
     if (fds[1]->suspected().contains(victim)) {
       adopted.store(true);
       return;
     }
-    sys.host(1).post_at(sys.now() + msec(100), [poller]() { (*poller)(); });
+    sys.host(1).post_at(sys.now() + msec(100),
+                        [p = self.lock()]() { (*p)(); });
   };
   sys.host(1).post([poller]() { (*poller)(); });
 
