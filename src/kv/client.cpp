@@ -83,8 +83,10 @@ std::optional<Reply> KvClient::send_and_wait(const Request& req) {
 
     // Wait for the matching reply; stray frames (older tags, other
     // sessions) are discarded and the wait continues on the remaining
-    // budget.
+    // budget. So does kOverloaded: the server answered, so the next
+    // attempt goes to it again, but only once this one's time is up.
     const TimeUs deadline = mono_now() + cfg_.request_timeout;
+    bool answered = false;
     for (;;) {
       const TimeUs left = deadline - mono_now();
       if (left <= 0) break;
@@ -107,6 +109,7 @@ std::optional<Reply> KvClient::send_and_wait(const Request& req) {
       const Reply& r = decoded->as<Reply>();
       if (r.session != req.session || r.tag != req.tag) continue;
 
+      answered = true;
       if (r.status == Status::kNotLeader) {
         ++stats_.redirects;
         target_ = r.leader_hint >= 0 &&
@@ -117,10 +120,10 @@ std::optional<Reply> KvClient::send_and_wait(const Request& req) {
                             static_cast<int>(cfg_.servers.size());
         break;  // next attempt, new target
       }
-      if (r.status == Status::kOverloaded) break;  // backoff = next attempt
+      if (r.status == Status::kOverloaded) continue;  // back off
       return r;
     }
-    if (mono_now() >= deadline) {
+    if (!answered) {
       ++stats_.timeouts;
       // No reply: the server may be down — try the next one.
       target_ = (target_ + 1) % static_cast<int>(cfg_.servers.size());

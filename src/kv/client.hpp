@@ -21,7 +21,9 @@
 /// leader failover is applied exactly once by the replicated session
 /// window — the client may send a command five times and still observes
 /// a single application. kNotLeader replies redirect to the hinted
-/// leader; timeouts rotate through the server table.
+/// leader; timeouts rotate through the server table. kOverloaded keeps the
+/// server but waits out the attempt's request_timeout before resending,
+/// so a full server does not burn the attempt budget in a burst.
 
 namespace ecfd::kv {
 
