@@ -62,15 +62,15 @@
 /// more, and every correct q sends ℓ an I-AM-ALIVE each period. After GST
 /// each reaches ℓ at most B after the previous one, for some unknown bound
 /// B, and the predicted gap is never negative; so a wrong suspicion needs
-/// α_ℓ(q) < B (or a fallback < B).
-/// Each one is lifted by q's next I-AM-ALIVE over a reliable partially
-/// synchronous input link and widens both by timeout_increment, so q is
-/// wrongly suspected only finitely often. A correct predecessor wrongly
-/// suspected at the takeover (say its lists to ℓ were slow) trusts ℓ from
-/// then on and is repaired the same way. The predictor caps α at its 5 s
-/// max_alpha, which is the practical bound: the argument covers links
-/// whose post-GST B stays below it. The rule reads only messages ℓ
-/// receives, so the leader's output links may stay fair lossy.
+/// α_ℓ(q) < B (or a fallback < B). Each one is lifted by q's next
+/// I-AM-ALIVE over a reliable partially synchronous input link and widens
+/// both by timeout_increment, so q is wrongly suspected only finitely
+/// often. A correct predecessor wrongly suspected at the takeover (say its
+/// lists to ℓ were slow) trusts ℓ from then on and is repaired the same
+/// way. The predictor caps α at its 5 s max_alpha, which is the practical
+/// bound: the argument covers links whose post-GST B stays below it. The
+/// rule reads only messages ℓ receives, so the leader's output links may
+/// stay fair lossy.
 
 namespace ecfd::core {
 
