@@ -87,7 +87,7 @@ DgramEnv::Options make_options(ProcessId self,
   o.self = self;
   o.peers = peers;
   o.seed = 42;
-  o.net.coalesce.enabled = coalesce;
+  o.coalesce = coalesce;
   return o;
 }
 

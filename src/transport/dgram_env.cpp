@@ -47,7 +47,7 @@ DgramEnv::DgramEnv(Options opts)
       rng_(opts_.seed * 0x9E3779B97F4A7C15ULL +
            static_cast<std::uint64_t>(opts_.self) + 1),
       epoch_(std::chrono::steady_clock::now()),
-      coalescer_(static_cast<int>(opts_.peers.size()), opts_.net.coalesce) {
+      coalescer_(static_cast<int>(opts_.peers.size()), opts_.coalesce) {
   assert(!opts_.peers.empty());
   assert(opts_.self >= 0 && opts_.self < n());
   // Register-once, bump-direct: the wire paths below never build counter
@@ -220,11 +220,11 @@ void DgramEnv::send(ProcessId dst, Message m) {
 }
 
 void DgramEnv::transmit(ProcessId dst, std::vector<std::uint8_t> frame) {
-  // The coalescer holds the frame until its peer's flush window closes;
-  // batches that hit the size caps pack right away and wait in out_ for
-  // the next flush_sends() (same loop iteration).
+  // The coalescer holds the frame until the next flush_sends() (same loop
+  // iteration); batches that hit the size caps pack right away and wait
+  // in out_ until then.
   std::vector<Coalescer::Packed> ready;
-  coalescer_.add(dst, std::move(frame), now(), &ready);
+  coalescer_.add(dst, std::move(frame), &ready);
   for (auto& p : ready) {
     out_.push_back(Datagram{p.dst, static_cast<std::uint32_t>(p.frames),
                             {}, std::move(p.bytes)});
@@ -252,7 +252,7 @@ void DgramEnv::flush_sends() {
   // Size-triggered packs queued earlier in the iteration go first so the
   // per-peer FIFO survives coalescing.
   std::vector<Coalescer::Packed> packed;
-  coalescer_.flush_due(now(), &packed);
+  coalescer_.flush(&packed);
   if (out_.empty() && packed.empty() && ext_out_.empty()) return;
 
   std::vector<Datagram> wire_out;
@@ -279,17 +279,18 @@ void DgramEnv::note_dgram_sent(const Datagram& d, bool batched) {
       ->fetch_add(1, std::memory_order_relaxed);
 }
 
+static_assert(kInvalidTimer == sim::kInvalidEvent);
+
 TimerId DgramEnv::set_timer(DurUs delay, std::function<void()> fn) {
-  const TimerId id = next_timer_++;
   if (delay < 0) delay = 0;
-  timers_.push(Timer{now() + delay, next_seq_++, id, std::move(fn)});
+  const TimerId id = timers_.schedule(now() + delay, std::move(fn));
   record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
   return id;
 }
 
 void DgramEnv::cancel_timer(TimerId id) {
   if (id == kInvalidTimer) return;
-  cancelled_.insert(id);
+  timers_.cancel(id);  // false for fired or unknown ids: nothing to do
   record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
 }
 
@@ -300,25 +301,14 @@ void DgramEnv::trace(const std::string& tag, const std::string& detail) {
                opts_.self, tag.c_str(), detail.c_str());
 }
 
-TimeUs DgramEnv::next_timer_at() const {
-  return timers_.empty() ? kTimeNever : timers_.top().when;
-}
-
 void DgramEnv::fire_due_timers() {
   // Drain against a snapshot of the clock: a timer armed during the drain
   // (notably a zero-delay re-arming tick) lands strictly after `cutoff`
   // and fires on the NEXT loop iteration, so a self-rearming timer can
   // keep the loop busy but can never wedge it.
   const TimeUs cutoff = now();
-  while (!timers_.empty() && timers_.top().when <= cutoff && !stopping_) {
-    Timer t = timers_.top();
-    timers_.pop();
-    const auto cancelled = cancelled_.find(t.id);
-    if (cancelled != cancelled_.end()) {
-      cancelled_.erase(cancelled);
-      continue;
-    }
-    t.fn();
+  while (timers_.next_time() <= cutoff && !stopping_) {
+    timers_.pop_run([](TimeUs, sim::EventId) {});
   }
 }
 
@@ -393,16 +383,10 @@ void DgramEnv::poll_once(DurUs max_wait) {
   if (stopping_) return;
 
   DurUs wait = max_wait;
-  const TimeUs next = next_timer_at();
+  const TimeUs next = timers_.next_time();
   if (next != kTimeNever) {
     const DurUs until_timer = next - now();
     if (until_timer < wait) wait = until_timer;
-  }
-  // A batch held back by a nonzero flush_delay must not be overslept.
-  const TimeUs held = coalescer_.next_deadline();
-  if (held != kTimeNever) {
-    const DurUs until_flush = held - now();
-    if (until_flush < wait) wait = until_flush;
   }
   if (wait < 0) wait = 0;
 

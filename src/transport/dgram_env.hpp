@@ -4,14 +4,13 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/env.hpp"
 #include "obs/metrics.hpp"
+#include "sim/event_queue.hpp"
 #include "transport/coalescer.hpp"
 #include "transport/node_config.hpp"
 
@@ -20,11 +19,12 @@
 ///
 /// One DgramEnv is one process of the universe: it owns a bound UDP
 /// socket, a single-threaded event loop interleaving datagram receipt with
-/// wall-clock timers, the wire codec routing (decode, misaddressing,
-/// external clients), injected chaos, the unified metrics registry, and —
-/// new in this layer — the per-peer tick coalescer that folds every frame
-/// due to a peer in one flush window into a single batch-envelope datagram
-/// (wire/envelope.hpp, the paper's §4 piggybacking carried to the wire).
+/// wall-clock timers (on the simulator's sim::EventQueue), the wire codec
+/// routing (decode, misaddressing, external clients), injected chaos, the
+/// unified metrics registry, and the per-peer tick coalescer that folds
+/// every frame due to a peer in one loop iteration into a single
+/// batch-envelope datagram (wire/envelope.hpp, the paper's §4
+/// piggybacking carried to the wire).
 ///
 /// What a concrete backend adds is only the syscall discipline:
 ///   * SocketEnv (socket_env.hpp): poll(2) + sendmmsg/recvmmsg batching —
@@ -44,18 +44,6 @@
 
 namespace ecfd::transport {
 
-/// Runtime-tunable wire knobs (previously hardcoded constants in
-/// socket_env.hpp; lifted so bench_net can sweep them and the INI [net]
-/// section can pin them per cluster).
-struct NetTuning {
-  std::size_t send_batch{64};  ///< datagrams per sendmmsg(2) syscall
-  std::size_t recv_batch{16};  ///< datagrams per recvmmsg(2) syscall
-  bool mmsg{true};  ///< start on sendmmsg/recvmmsg (auto-clears on ENOSYS)
-  std::size_t uring_depth{512};       ///< io_uring SQ entries
-  std::size_t uring_recv_buffers{64}; ///< provided-buffer ring entries
-  CoalescerOptions coalesce;          ///< per-peer tick coalescing
-};
-
 class DgramEnv : public Env {
  public:
   struct Options {
@@ -73,7 +61,9 @@ class DgramEnv : public Env {
     /// When set, trace() lines go to stderr as "[t_us] pK tag detail".
     bool trace_to_stderr{false};
 
-    NetTuning net;
+    /// Per-peer tick coalescing (coalescer.hpp); off sends every frame
+    /// as its own datagram (bench_net's E11 ablation).
+    bool coalesce{true};
   };
 
   explicit DgramEnv(Options opts);
@@ -220,33 +210,18 @@ class DgramEnv : public Env {
     return peer_sockaddrs_[static_cast<std::size_t>(p)];
   }
   [[nodiscard]] int sock_fd() const { return fd_; }
-  [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] obs::Histogram& recv_batch_hist() { return *recv_batch_hist_; }
   [[nodiscard]] obs::Histogram& send_batch_hist() { return *send_batch_hist_; }
 
  private:
-  struct Timer {
-    TimeUs when{};
-    std::uint64_t seq{};
-    TimerId id{kInvalidTimer};
-    std::function<void()> fn;
-  };
-  struct TimerLater {
-    bool operator()(const Timer& a, const Timer& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
   /// One loop iteration: fire due timers, flush queued sends, then block
   /// in the backend for at most \p max_wait waiting for datagrams.
   void poll_once(DurUs max_wait);
   void fire_due_timers();
-  [[nodiscard]] TimeUs next_timer_at() const;
   /// Queues an encoded frame for \p dst in the coalescer; the wire
   /// syscall happens at the next flush_sends().
   void transmit(ProcessId dst, std::vector<std::uint8_t> frame);
-  /// Packs everything due out of the coalescer and hands the datagrams to
+  /// Packs everything queued in the coalescer and hands the datagrams to
   /// the backend.
   void flush_sends();
   /// Decodes one single-frame datagram and routes it.
@@ -283,11 +258,9 @@ class DgramEnv : public Env {
   std::vector<Datagram> out_;      ///< size-triggered packs awaiting flush
   std::vector<Datagram> ext_out_;  ///< external replies, never coalesced
 
-  std::priority_queue<Timer, std::vector<Timer>, TimerLater> timers_;
-  std::unordered_set<TimerId> cancelled_;
-  std::uint64_t next_seq_{1};
+  /// Wall-clock timers; a TimerId is the queue's EventId.
+  sim::EventQueue timers_;
   std::uint64_t wire_seq_{0};  ///< causal send sequence (0 = none issued)
-  TimerId next_timer_{1};
   bool stopping_{false};
 
   std::vector<std::unique_ptr<Protocol>> owned_;
@@ -295,20 +268,6 @@ class DgramEnv : public Env {
   ExternalHandler external_;
   bool started_{false};
 };
-
-/// Maps a parsed config's [net] section onto the tuning struct (peers,
-/// seed, and chaos stay the caller's job).
-inline NetTuning net_tuning_from(const NodeConfig& cfg) {
-  NetTuning t;
-  t.send_batch = static_cast<std::size_t>(cfg.net_send_batch);
-  t.recv_batch = static_cast<std::size_t>(cfg.net_recv_batch);
-  t.mmsg = cfg.net_mmsg;
-  t.coalesce.enabled = cfg.net_coalesce;
-  t.coalesce.max_frames = static_cast<std::size_t>(cfg.net_max_envelope_frames);
-  t.coalesce.max_bytes = static_cast<std::size_t>(cfg.net_max_envelope_bytes);
-  t.coalesce.flush_delay = cfg.net_flush_delay;
-  return t;
-}
 
 /// Packs an IPv4 address + UDP port (both host byte order) into the
 /// opaque ExternalToken backends hand to on_datagram(); inverse of the

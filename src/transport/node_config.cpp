@@ -1,6 +1,7 @@
 #include "transport/node_config.hpp"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -26,10 +27,24 @@ bool fail(std::string* error, const std::string& reason) {
 bool parse_i64(const std::string& s, std::int64_t* out) {
   if (s.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
   *out = v;
   return true;
+}
+
+/// Parses a `*_ms` value: whole milliseconds in [lo, kMaxDurationMs].
+bool parse_ms(const std::string& s, std::int64_t lo, DurUs* out) {
+  std::int64_t ms = 0;
+  if (!parse_i64(s, &ms) || ms < lo || ms > kMaxDurationMs) return false;
+  *out = msec(ms);
+  return true;
+}
+
+std::string ms_range_error(const std::string& key, std::int64_t lo) {
+  return key + " must be in " + std::to_string(lo) + ".." +
+         std::to_string(kMaxDurationMs) + " ms (kMaxDurationMs, one day)";
 }
 
 bool parse_f64(const std::string& s, double* out) {
@@ -96,7 +111,7 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
       if (line.back() != ']') return bad("unterminated section header");
       section = trim(line.substr(1, line.size() - 2));
       if (section != "cluster" && section != "peers" && section != "chaos" &&
-          section != "net" && section != "kv") {
+          section != "kv") {
         return bad("unknown section [" + section + "]");
       }
       continue;
@@ -128,14 +143,17 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
       } else if (key == "consensus") {
         if (!parse_bool(value, &cfg.consensus)) return bad("bad consensus flag");
       } else if (key == "period_ms") {
-        if (!parse_i64(value, &i) || i <= 0) return bad("bad period_ms");
-        cfg.period = msec(i);
+        if (!parse_ms(value, 1, &cfg.period)) {
+          return bad(ms_range_error(key, 1));
+        }
       } else if (key == "initial_timeout_ms") {
-        if (!parse_i64(value, &i) || i <= 0) return bad("bad initial_timeout_ms");
-        cfg.initial_timeout = msec(i);
+        if (!parse_ms(value, 1, &cfg.initial_timeout)) {
+          return bad(ms_range_error(key, 1));
+        }
       } else if (key == "timeout_increment_ms") {
-        if (!parse_i64(value, &i) || i < 0) return bad("bad timeout_increment_ms");
-        cfg.timeout_increment = msec(i);
+        if (!parse_ms(value, 0, &cfg.timeout_increment)) {
+          return bad(ms_range_error(key, 0));
+        }
       } else if (key == "backend") {
         if (value != "poll" && value != "uring") {
           return bad("backend must be 'poll' or 'uring'");
@@ -145,53 +163,22 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
         return bad("unknown [cluster] key '" + key + "'");
       }
     } else if (section == "chaos") {
-      std::int64_t i = 0;
       if (key == "loss") {
-        if (!parse_f64(value, &cfg.loss) || cfg.loss < 0.0 || cfg.loss >= 1.0) {
+        // Written so that NaN, which fails every comparison, is rejected.
+        if (!parse_f64(value, &cfg.loss) ||
+            !(cfg.loss >= 0.0 && cfg.loss < 1.0)) {
           return bad("loss must be in [0,1)");
         }
       } else if (key == "min_delay_ms") {
-        if (!parse_i64(value, &i) || i < 0) return bad("bad min_delay_ms");
-        cfg.min_delay = msec(i);
+        if (!parse_ms(value, 0, &cfg.min_delay)) {
+          return bad(ms_range_error(key, 0));
+        }
       } else if (key == "max_delay_ms") {
-        if (!parse_i64(value, &i) || i < 0) return bad("bad max_delay_ms");
-        cfg.max_delay = msec(i);
+        if (!parse_ms(value, 0, &cfg.max_delay)) {
+          return bad(ms_range_error(key, 0));
+        }
       } else {
         return bad("unknown [chaos] key '" + key + "'");
-      }
-    } else if (section == "net") {
-      std::int64_t i = 0;
-      if (key == "coalesce") {
-        if (!parse_bool(value, &cfg.net_coalesce)) return bad("bad coalesce");
-      } else if (key == "max_envelope_frames") {
-        if (!parse_i64(value, &i) || i < 2 || i > 256) {
-          return bad("max_envelope_frames must be in 2..256");
-        }
-        cfg.net_max_envelope_frames = static_cast<int>(i);
-      } else if (key == "max_envelope_bytes") {
-        if (!parse_i64(value, &i) || i < 256 || i > 65536) {
-          return bad("max_envelope_bytes must be in 256..65536");
-        }
-        cfg.net_max_envelope_bytes = static_cast<int>(i);
-      } else if (key == "flush_delay_us") {
-        if (!parse_i64(value, &i) || i < 0 || i > 1000000) {
-          return bad("flush_delay_us must be in 0..1000000");
-        }
-        cfg.net_flush_delay = i;
-      } else if (key == "send_batch") {
-        if (!parse_i64(value, &i) || i < 1 || i > 1024) {
-          return bad("send_batch must be in 1..1024");
-        }
-        cfg.net_send_batch = static_cast<int>(i);
-      } else if (key == "recv_batch") {
-        if (!parse_i64(value, &i) || i < 1 || i > 1024) {
-          return bad("recv_batch must be in 1..1024");
-        }
-        cfg.net_recv_batch = static_cast<int>(i);
-      } else if (key == "mmsg") {
-        if (!parse_bool(value, &cfg.net_mmsg)) return bad("bad mmsg flag");
-      } else {
-        return bad("unknown [net] key '" + key + "'");
       }
     } else if (section == "kv") {
       std::int64_t i = 0;
@@ -213,13 +200,13 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
         }
         cfg.kv_batch_max_ops = static_cast<int>(i);
       } else if (key == "batch_wait_ms") {
-        if (!parse_i64(value, &i) || i < 0) return bad("bad kv batch_wait_ms");
-        cfg.kv_batch_wait = msec(i);
-      } else if (key == "lease_establish_ms") {
-        if (!parse_i64(value, &i) || i < 0) {
-          return bad("bad kv lease_establish_ms");
+        if (!parse_ms(value, 0, &cfg.kv_batch_wait)) {
+          return bad(ms_range_error(key, 0));
         }
-        cfg.kv_lease_establish = msec(i);
+      } else if (key == "lease_establish_ms") {
+        if (!parse_ms(value, 0, &cfg.kv_lease_establish)) {
+          return bad(ms_range_error(key, 0));
+        }
       } else if (key == "snapshot_every") {
         if (!parse_i64(value, &i) || i < 0) return bad("bad kv snapshot_every");
         cfg.kv_snapshot_every = static_cast<int>(i);

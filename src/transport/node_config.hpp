@@ -40,17 +40,6 @@
 ///   min_delay_ms = 0
 ///   max_delay_ms = 0
 ///
-///   [net]                     ; optional wire tuning (defaults shown)
-///   coalesce = true           ; pack frames per peer per tick into one
-///                             ; batch-envelope datagram (§4 piggybacking)
-///   max_envelope_frames = 64  ; frames per envelope before immediate flush
-///   max_envelope_bytes = 1400 ; payload bytes per envelope (MTU-safe)
-///   flush_delay_us = 0        ; how long a frame may wait for company;
-///                             ; 0 = flush every event-loop iteration
-///   send_batch = 64           ; datagrams per sendmmsg(2) (poll backend)
-///   recv_batch = 16           ; datagrams per recvmmsg(2) (poll backend)
-///   mmsg = true               ; use sendmmsg/recvmmsg (poll backend)
-///
 ///   [kv]                      ; optional replicated key-value service
 ///   enabled = true
 ///   capacity = 1024           ; replicated-log slots (fixed up front)
@@ -62,9 +51,18 @@
 ///   dedup_window = 64         ; cached results per client session
 ///
 /// Peer ids must be exactly 0..n-1; every node of the cluster loads the
-/// same file and is told which row is "self" on its command line.
+/// same file and is told which row is "self" on its command line. Every
+/// `*_ms` key is a whole number of milliseconds no longer than
+/// kMaxDurationMs. The wire path has no keys: coalescing is on and its
+/// caps and syscall batch widths are constants (transport/coalescer.hpp,
+/// socket_env.hpp, uring_env.cpp).
 
 namespace ecfd::transport {
+
+/// Longest duration any `*_ms` key accepts: one day. Bounds the key's
+/// microsecond value, and the wall-clock deadlines built from it, far from
+/// int64 overflow.
+inline constexpr std::int64_t kMaxDurationMs = 24LL * 60 * 60 * 1000;
 
 /// One row of the peer table.
 struct PeerAddr {
@@ -87,15 +85,6 @@ struct NodeConfig {
   double loss{0.0};
   DurUs min_delay{0};
   DurUs max_delay{0};
-
-  // [net] — wire tuning, mapped onto transport::NetTuning by the caller.
-  bool net_coalesce{true};
-  int net_max_envelope_frames{64};
-  int net_max_envelope_bytes{1400};
-  DurUs net_flush_delay{0};
-  int net_send_batch{64};
-  int net_recv_batch{16};
-  bool net_mmsg{true};
 
   // [kv] — the replicated key-value service (tools/ecfd_node --kv).
   bool kv_enabled{false};

@@ -14,33 +14,29 @@ namespace ecfd::transport {
 
 bool SocketEnv::wire_init(std::string* error) {
   (void)error;  // plain sockets: nothing beyond the base's bind can fail
-  send_batch_ = std::max<std::size_t>(1, options().net.send_batch);
-  recv_batch_ = std::max<std::size_t>(1, options().net.recv_batch);
-  use_mmsg_ = options().net.mmsg;
+  recv_bufs_.resize(kRecvBatch * wire::kMaxFrameBytes);
   return true;
 }
 
 void SocketEnv::wire_flush(std::vector<Datagram> out) {
   std::size_t done = 0;
-  std::vector<mmsghdr> msgs(send_batch_);
-  std::vector<iovec> iovs(send_batch_);
   while (done < out.size()) {
-    const std::size_t batch = std::min(send_batch_, out.size() - done);
+    const std::size_t batch = std::min(kSendBatch, out.size() - done);
     if (batch >= 2 && use_mmsg_) {
-      std::memset(msgs.data(), 0, batch * sizeof(mmsghdr));
+      std::memset(send_msgs_.data(), 0, batch * sizeof(mmsghdr));
       for (std::size_t i = 0; i < batch; ++i) {
         Datagram& d = out[done + i];
         auto& sa = d.addr.empty() ? peer_sockaddr(d.dst) : d.addr;
-        iovs[i].iov_base = d.bytes.data();
-        iovs[i].iov_len = d.bytes.size();
-        msgs[i].msg_hdr.msg_iov = &iovs[i];
-        msgs[i].msg_hdr.msg_iovlen = 1;
-        msgs[i].msg_hdr.msg_name = const_cast<std::uint8_t*>(sa.data());
-        msgs[i].msg_hdr.msg_namelen = static_cast<socklen_t>(sa.size());
+        send_iovs_[i].iov_base = d.bytes.data();
+        send_iovs_[i].iov_len = d.bytes.size();
+        msghdr& h = send_msgs_[i].msg_hdr;
+        h.msg_iov = &send_iovs_[i];
+        h.msg_iovlen = 1;
+        h.msg_name = const_cast<std::uint8_t*>(sa.data());
+        h.msg_namelen = static_cast<socklen_t>(sa.size());
       }
-      const int sent =
-          ::sendmmsg(sock_fd(), msgs.data(), static_cast<unsigned int>(batch),
-                     0);
+      const int sent = ::sendmmsg(sock_fd(), send_msgs_.data(),
+                                  static_cast<unsigned int>(batch), 0);
       if (sent > 0) {
         for (int i = 0; i < sent; ++i) {
           note_dgram_sent(out[done + static_cast<std::size_t>(i)], true);
@@ -77,25 +73,20 @@ void SocketEnv::wire_flush(std::vector<Datagram> out) {
 
 void SocketEnv::drain_socket() {
   while (use_mmsg_) {
-    if (recv_bufs_.size() < recv_batch_ * wire::kMaxFrameBytes) {
-      recv_bufs_.resize(recv_batch_ * wire::kMaxFrameBytes);
+    std::memset(recv_msgs_.data(), 0, sizeof(recv_msgs_));
+    std::memset(recv_froms_.data(), 0, sizeof(recv_froms_));
+    for (std::size_t i = 0; i < kRecvBatch; ++i) {
+      recv_iovs_[i].iov_base = recv_bufs_.data() + i * wire::kMaxFrameBytes;
+      recv_iovs_[i].iov_len = wire::kMaxFrameBytes;
+      msghdr& h = recv_msgs_[i].msg_hdr;
+      h.msg_iov = &recv_iovs_[i];
+      h.msg_iovlen = 1;
+      h.msg_name = &recv_froms_[i];
+      h.msg_namelen = sizeof(sockaddr_in);
     }
-    std::vector<mmsghdr> msgs(recv_batch_);
-    std::vector<iovec> iovs(recv_batch_);
-    std::vector<sockaddr_in> froms(recv_batch_);
-    std::memset(msgs.data(), 0, recv_batch_ * sizeof(mmsghdr));
-    std::memset(froms.data(), 0, recv_batch_ * sizeof(sockaddr_in));
-    for (std::size_t i = 0; i < recv_batch_; ++i) {
-      iovs[i].iov_base = recv_bufs_.data() + i * wire::kMaxFrameBytes;
-      iovs[i].iov_len = wire::kMaxFrameBytes;
-      msgs[i].msg_hdr.msg_iov = &iovs[i];
-      msgs[i].msg_hdr.msg_iovlen = 1;
-      msgs[i].msg_hdr.msg_name = &froms[i];
-      msgs[i].msg_hdr.msg_namelen = sizeof(froms[i]);
-    }
-    const int got = ::recvmmsg(sock_fd(), msgs.data(),
-                               static_cast<unsigned int>(recv_batch_), 0,
-                               nullptr);
+    const int got =
+        ::recvmmsg(sock_fd(), recv_msgs_.data(),
+                   static_cast<unsigned int>(kRecvBatch), 0, nullptr);
     if (got < 0) {
       if (errno == ENOSYS || errno == EOPNOTSUPP) {
         use_mmsg_ = false;  // kernel without recvmmsg: per-datagram path
@@ -107,23 +98,24 @@ void SocketEnv::drain_socket() {
     }
     recv_batch_hist().observe(got);
     for (int i = 0; i < got; ++i) {
+      const sockaddr_in& from = recv_froms_[static_cast<std::size_t>(i)];
       on_datagram(recv_bufs_.data() +
                       static_cast<std::size_t>(i) * wire::kMaxFrameBytes,
-                  msgs[i].msg_len,
-                  pack_external_token(ntohl(froms[i].sin_addr.s_addr),
-                                      ntohs(froms[i].sin_port)));
+                  recv_msgs_[static_cast<std::size_t>(i)].msg_len,
+                  pack_external_token(ntohl(from.sin_addr.s_addr),
+                                      ntohs(from.sin_port)));
     }
-    if (static_cast<std::size_t>(got) < recv_batch_) return;  // drained
+    if (static_cast<std::size_t>(got) < kRecvBatch) return;  // drained
   }
-  std::uint8_t buf[wire::kMaxFrameBytes];
   for (;;) {
     sockaddr_in from{};
     socklen_t from_len = sizeof(from);
-    const auto got = ::recvfrom(sock_fd(), buf, sizeof(buf), 0,
-                                reinterpret_cast<sockaddr*>(&from), &from_len);
+    const auto got =
+        ::recvfrom(sock_fd(), recv_bufs_.data(), wire::kMaxFrameBytes, 0,
+                   reinterpret_cast<sockaddr*>(&from), &from_len);
     if (got < 0) return;  // EAGAIN: drained (anything else: pass is over)
     recv_batch_hist().observe(1);
-    on_datagram(buf, static_cast<std::size_t>(got),
+    on_datagram(recv_bufs_.data(), static_cast<std::size_t>(got),
                 pack_external_token(ntohl(from.sin_addr.s_addr),
                                     ntohs(from.sin_port)));
   }

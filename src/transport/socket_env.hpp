@@ -1,5 +1,9 @@
 #pragma once
 
+#include <netinet/in.h>
+#include <sys/socket.h>
+
+#include <array>
 #include <string>
 #include <vector>
 
@@ -11,11 +15,9 @@
 /// Everything interesting (event loop, timers, chaos, coalescing, codec
 /// routing, metrics) lives in the shared base; this class contributes only
 /// the syscall discipline: block in poll(2) for readiness, then move
-/// datagrams with sendmmsg(2)/recvmmsg(2) — up to net.send_batch (resp.
-/// net.recv_batch) datagrams per syscall — falling back to per-datagram
-/// sendto(2)/recvfrom(2) on kernels without the batched calls (or when
-/// Options::net.mmsg is cleared, which bench_net uses to ablate syscall
-/// batching separately from coalescing).
+/// datagrams with sendmmsg(2)/recvmmsg(2) — up to kSendBatch (resp.
+/// kRecvBatch) datagrams per syscall — falling back to per-datagram
+/// sendto(2)/recvfrom(2) on kernels without the batched calls.
 ///
 /// Transport semantics are exactly what the paper's asynchronous model
 /// asks for: messages can be dropped (UDP, plus optional injected loss),
@@ -37,13 +39,19 @@ class SocketEnv final : public DgramEnv {
   void wire_wait(DurUs max_wait) override;
 
  private:
-  /// Reads until EAGAIN, recvmmsg(2) up to recv_batch_ datagrams per
+  static constexpr std::size_t kSendBatch = 64;  ///< datagrams per sendmmsg
+  static constexpr std::size_t kRecvBatch = 16;  ///< datagrams per recvmmsg
+
+  /// Reads until EAGAIN, recvmmsg(2) up to kRecvBatch datagrams per
   /// syscall, routing each through on_datagram().
   void drain_socket();
 
-  std::size_t send_batch_{64};
-  std::size_t recv_batch_{16};
-  std::vector<std::uint8_t> recv_bufs_;  ///< recv_batch_ frame-sized buffers
+  std::array<mmsghdr, kSendBatch> send_msgs_{};
+  std::array<iovec, kSendBatch> send_iovs_{};
+  std::array<mmsghdr, kRecvBatch> recv_msgs_{};
+  std::array<iovec, kRecvBatch> recv_iovs_{};
+  std::array<sockaddr_in, kRecvBatch> recv_froms_{};
+  std::vector<std::uint8_t> recv_bufs_;  ///< kRecvBatch frame-sized buffers
   bool use_mmsg_{true};  ///< cleared on ENOSYS; falls back to sendto/recvfrom
 };
 

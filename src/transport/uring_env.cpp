@@ -17,11 +17,11 @@ namespace {
 /// Marks the multishot receive's CQEs; send CQEs carry their slot index.
 constexpr std::uint64_t kRecvUserData = ~0ULL;
 
-std::uint32_t round_pow2(std::uint32_t v, std::uint32_t lo, std::uint32_t hi) {
-  std::uint32_t p = lo;
-  while (p < v && p < hi) p <<= 1;
-  return p;
-}
+/// SQ entries, and send slots: one tick's datagrams submit on one enter.
+constexpr std::uint32_t kRingDepth = 512;
+/// Provided receive buffers (the kernel requires a power of two).
+constexpr std::uint32_t kRecvBuffers = 64;
+static_assert((kRecvBuffers & (kRecvBuffers - 1)) == 0);
 
 }  // namespace
 
@@ -48,10 +48,8 @@ bool UringEnv::wire_init(std::string* error) {
     return fail("disabled via ECFD_URING_DISABLE");
   }
 
-  const std::uint32_t depth = round_pow2(
-      static_cast<std::uint32_t>(options().net.uring_depth), 16, 4096);
   std::string ring_error;
-  if (!ring_.init(depth, &ring_error)) return fail(ring_error);
+  if (!ring_.init(kRingDepth, &ring_error)) return fail(ring_error);
   if ((ring_.features() & IORING_FEAT_EXT_ARG) == 0) {
     return fail("kernel lacks IORING_FEAT_EXT_ARG (pre-5.11)");
   }
@@ -61,10 +59,10 @@ bool UringEnv::wire_init(std::string* error) {
     return fail(reason);
   }
 
-  slots_.resize(depth);
+  slots_.resize(kRingDepth);
   free_slots_.clear();
-  free_slots_.reserve(depth);
-  for (std::size_t i = depth; i > 0; --i) free_slots_.push_back(i - 1);
+  free_slots_.reserve(kRingDepth);
+  for (std::size_t i = kRingDepth; i > 0; --i) free_slots_.push_back(i - 1);
 
   std::string arm_error;
   if (!arm_recv(&arm_error)) return fail(arm_error);
@@ -77,15 +75,13 @@ bool UringEnv::wire_init(std::string* error) {
 }
 
 bool UringEnv::setup_buf_ring(std::string* error) {
-  buf_count_ = round_pow2(
-      static_cast<std::uint32_t>(options().net.uring_recv_buffers), 8, 32768);
   // Each provided buffer holds the recvmsg completion header, the space
   // the template msghdr reserves for the source address, then the payload.
   buf_size_ = sizeof(io_uring_recvmsg_out) + sizeof(sockaddr_in) +
               wire::kMaxFrameBytes;
 
   const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  buf_ring_bytes_ = buf_count_ * sizeof(io_uring_buf);
+  buf_ring_bytes_ = kRecvBuffers * sizeof(io_uring_buf);
   buf_ring_bytes_ = (buf_ring_bytes_ + page - 1) & ~(page - 1);
   void* mem = ::mmap(nullptr, buf_ring_bytes_, PROT_READ | PROT_WRITE,
                      MAP_ANONYMOUS | MAP_PRIVATE, -1, 0);
@@ -97,7 +93,7 @@ bool UringEnv::setup_buf_ring(std::string* error) {
 
   io_uring_buf_reg reg{};
   reg.ring_addr = reinterpret_cast<std::uint64_t>(buf_ring_);
-  reg.ring_entries = buf_count_;
+  reg.ring_entries = kRecvBuffers;
   reg.bgid = 0;
   const int r =
       uring::sys_register(ring_.fd(), IORING_REGISTER_PBUF_RING, &reg, 1);
@@ -110,9 +106,9 @@ bool UringEnv::setup_buf_ring(std::string* error) {
     return false;
   }
 
-  recv_bufs_.resize(static_cast<std::size_t>(buf_count_) * buf_size_);
+  recv_bufs_.resize(kRecvBuffers * buf_size_);
   buf_ring_tail_ = 0;
-  for (std::uint32_t bid = 0; bid < buf_count_; ++bid) {
+  for (std::uint32_t bid = 0; bid < kRecvBuffers; ++bid) {
     recycle_buffer(static_cast<std::uint16_t>(bid));
   }
   return true;
@@ -125,7 +121,7 @@ void UringEnv::recycle_buffer(std::uint16_t bid) {
   // The kernel reads entries at offset 0, where the union overlays them.
   auto* entries = reinterpret_cast<io_uring_buf*>(buf_ring_);
   io_uring_buf& e =
-      entries[buf_ring_tail_ & static_cast<std::uint16_t>(buf_count_ - 1)];
+      entries[buf_ring_tail_ & static_cast<std::uint16_t>(kRecvBuffers - 1)];
   e.addr = reinterpret_cast<std::uint64_t>(recv_buf(bid));
   e.len = static_cast<std::uint32_t>(buf_size_);
   e.bid = bid;

@@ -24,7 +24,7 @@
 ///  * Send: every datagram of a tick becomes an IORING_OP_SENDMSG SQE in
 ///    a slot pool (buffers pinned until their CQE), and ONE
 ///    io_uring_enter(2) submits the whole batch — where the poll backend
-///    pays ceil(k / send_batch) sendmmsg calls, this pays one regardless
+///    pays ceil(k / 64) sendmmsg calls, this pays one regardless
 ///    of k. Slots deliberately carry no IOSQE_IO_LINK: linking would make
 ///    one EPERM cancel the rest of the tick's traffic.
 ///  * Wait: io_uring_enter(GETEVENTS | EXT_ARG) with a nanosecond
@@ -83,7 +83,6 @@ class UringEnv final : public DgramEnv {
   // Provided-buffer ring (group 0) for the multishot receive.
   io_uring_buf_ring* buf_ring_{nullptr};
   std::size_t buf_ring_bytes_{0};
-  std::uint32_t buf_count_{0};   ///< power of two
   std::uint16_t buf_ring_tail_{0};
   std::size_t buf_size_{0};      ///< recvmsg_out header + name + payload
   std::vector<std::uint8_t> recv_bufs_;

@@ -37,7 +37,7 @@ DgramEnv::Options options(ProcessId self, const std::vector<PeerAddr>& peers,
   o.self = self;
   o.peers = peers;
   o.seed = 42;
-  o.net.coalesce.enabled = coalesce;
+  o.coalesce = coalesce;
   return o;
 }
 

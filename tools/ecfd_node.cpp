@@ -263,7 +263,6 @@ int main(int argc, char** argv) {
   opts.min_extra_delay = cfg->min_delay;
   opts.max_extra_delay = cfg->max_delay;
   opts.trace_to_stderr = verbose;
-  opts.net = transport::net_tuning_from(*cfg);
 
   std::string note;
   auto env_ptr = transport::make_net_env(*backend, std::move(opts), &error,
