@@ -2,7 +2,10 @@
 // every mutation of a valid envelope — truncation at every byte, a bit
 // flip in every byte, count and length lies, splits across datagram
 // boundaries — must be REJECTED, never crash, and never mis-deliver.
-// Deterministic: fixed seeds, exhaustive loops over small inputs.
+// Deterministic: fixed seeds, exhaustive loops over small inputs. The
+// Coalescer cases at the end pin the queue that builds these envelopes
+// (src/transport/coalescer.*): its caps, its raw pass-through and its
+// per-peer FIFO order.
 #include "wire/envelope.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include <vector>
 
 #include "net/protocol_ids.hpp"
+#include "transport/coalescer.hpp"
 #include "wire/codec.hpp"
 
 namespace ecfd::wire {
@@ -200,6 +204,141 @@ TEST(EnvelopeFuzz, NestedEnvelopeFramesAreRejectedByInnerDecode) {
   ASSERT_TRUE(views.has_value()) << error;
   ASSERT_EQ(views->size(), 1u);
   EXPECT_FALSE(decode_message((*views)[0].data, (*views)[0].len).has_value());
+}
+
+// --- Coalescer ---------------------------------------------------------
+
+using transport::Coalescer;
+using Frames = std::vector<std::vector<std::uint8_t>>;
+
+/// The frames one packed datagram carries, in order (a raw frame is one).
+Frames unpack(const Coalescer::Packed& p) {
+  if (!is_envelope(p.bytes.data(), p.bytes.size())) return {p.bytes};
+  std::string error;
+  const auto views = decode_envelope(p.bytes.data(), p.bytes.size(), &error);
+  EXPECT_TRUE(views.has_value()) << error;
+  Frames out;
+  if (!views) return out;
+  for (const auto& v : *views) out.emplace_back(v.data, v.data + v.len);
+  EXPECT_EQ(out.size(), p.frames);
+  return out;
+}
+
+/// A frame of \p len bytes tagged with \p tag, for order checks.
+std::vector<std::uint8_t> sized_frame(std::size_t len, std::uint8_t tag) {
+  return std::vector<std::uint8_t>(len, tag);
+}
+
+TEST(Coalescer, LoneFrameLeavesRaw) {
+  Coalescer c(3, true);
+  std::vector<Coalescer::Packed> out;
+  const auto f = frame_of(7);
+  c.add(1, f, &out);
+  EXPECT_TRUE(out.empty()) << "a lone frame waits for the flush";
+  c.flush(&out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].dst, 1);
+  EXPECT_EQ(out[0].frames, 1u);
+  EXPECT_EQ(out[0].bytes, f);
+  EXPECT_FALSE(is_envelope(out[0].bytes.data(), out[0].bytes.size()));
+  out.clear();
+  c.flush(&out);
+  EXPECT_TRUE(out.empty()) << "a flush empties every queue";
+}
+
+TEST(Coalescer, FramesToOnePeerLeaveAsOneEnvelopeInOrder) {
+  Coalescer c(3, true);
+  std::vector<Coalescer::Packed> out;
+  const auto frames = sample_frames(5);
+  for (const auto& f : frames) c.add(2, f, &out);
+  EXPECT_TRUE(out.empty());
+  c.flush(&out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].dst, 2);
+  EXPECT_EQ(out[0].frames, 5u);
+  ASSERT_TRUE(is_envelope(out[0].bytes.data(), out[0].bytes.size()));
+  EXPECT_EQ(unpack(out[0]), frames);
+}
+
+TEST(Coalescer, FrameAndByteCapsPackAtOnceAndKeepPerPeerFifo) {
+  Coalescer c(3, true);
+  std::vector<Coalescer::Packed> out;
+  // kMaxFrames small frames: the last one packs the batch immediately.
+  for (std::size_t i = 0; i + 1 < Coalescer::kMaxFrames; ++i) {
+    c.add(1, sized_frame(8, static_cast<std::uint8_t>(i)), &out);
+  }
+  EXPECT_TRUE(out.empty());
+  c.add(1, sized_frame(8, 0xEE), &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].frames, Coalescer::kMaxFrames);
+  const Frames full = unpack(out[0]);
+  ASSERT_EQ(full.size(), Coalescer::kMaxFrames);
+  for (std::size_t i = 0; i + 1 < full.size(); ++i) {
+    EXPECT_EQ(full[i].front(), static_cast<std::uint8_t>(i));
+  }
+  EXPECT_EQ(full.back().front(), 0xEE);
+
+  // The byte cap: a frame that would push a peer's queue past kMaxBytes
+  // packs the queue first. Peer 2's traffic interleaves and must not
+  // disturb peer 1's order.
+  out.clear();
+  const std::size_t quarter = Coalescer::kMaxBytes / 4;
+  for (std::uint8_t tag = 1; tag <= 4; ++tag) {
+    c.add(1, sized_frame(quarter, tag), &out);
+    c.add(2, sized_frame(16, static_cast<std::uint8_t>(100 + tag)), &out);
+  }
+  EXPECT_TRUE(out.empty()) << "exactly kMaxBytes still fits";
+  c.add(1, sized_frame(1, 5), &out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].dst, 1);
+  EXPECT_EQ(unpack(out[0]).size(), 4u);
+  c.flush(&out);
+  ASSERT_EQ(out.size(), 3u);
+  // Flush order is peer order; within a peer, arrival order.
+  EXPECT_EQ(out[1].dst, 1);
+  EXPECT_EQ(out[2].dst, 2);
+  std::vector<std::uint8_t> tags1;
+  std::vector<std::uint8_t> tags2;
+  for (const auto& p : out) {
+    for (const auto& f : unpack(p)) {
+      (p.dst == 1 ? tags1 : tags2).push_back(f.front());
+    }
+  }
+  EXPECT_EQ(tags1, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(tags2, (std::vector<std::uint8_t>{101, 102, 103, 104}));
+}
+
+TEST(Coalescer, OversizedFrameFlushesItsQueueThenLeavesRaw) {
+  Coalescer c(2, true);
+  std::vector<Coalescer::Packed> out;
+  const auto small = sample_frames(2);
+  for (const auto& f : small) c.add(1, f, &out);
+  const auto big = sized_frame(Coalescer::kMaxBytes + 1, 0xB1);
+  c.add(1, big, &out);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].frames, 2u);
+  EXPECT_EQ(unpack(out[0]), small);
+  EXPECT_EQ(out[1].frames, 1u);
+  EXPECT_EQ(out[1].bytes, big);
+  out.clear();
+  c.flush(&out);
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(Coalescer, DisabledPassesEveryFrameRaw) {
+  Coalescer c(3, false);
+  std::vector<Coalescer::Packed> out;
+  const auto frames = sample_frames(4);
+  for (const auto& f : frames) c.add(2, f, &out);
+  ASSERT_EQ(out.size(), frames.size());
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(out[i].dst, 2);
+    EXPECT_EQ(out[i].frames, 1u);
+    EXPECT_EQ(out[i].bytes, frames[i]);
+  }
+  out.clear();
+  c.flush(&out);
+  EXPECT_TRUE(out.empty());
 }
 
 }  // namespace

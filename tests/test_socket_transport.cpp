@@ -12,6 +12,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -243,6 +245,88 @@ TEST(SocketTransport, MisaddressedAndCorruptDatagramsAreCountedNotDelivered) {
   EXPECT_EQ(a.counters().get("net.misaddressed"), 1);
 }
 
+// --- DgramEnv timers (sim::EventQueue under the wall clock) -------------
+
+/// A one-node env on an ephemeral loopback port: enough to drive timers.
+std::unique_ptr<SocketEnv> timer_env() {
+  auto env = std::make_unique<SocketEnv>(options(0, loopback_peers(1, 0)));
+  std::string error;
+  EXPECT_TRUE(env->open(&error)) << error;
+  return env;
+}
+
+TEST(DgramEnvTimers, SameDeadlineTimersFireInArmingOrder) {
+  // Armed back to back with one delay, most of these share a microsecond
+  // deadline; ties must break by arming order, like the simulator's.
+  auto env = timer_env();
+  std::vector<int> fired;
+  for (int i = 0; i < 100; ++i) {
+    env->set_timer(msec(5), [&fired, i] { fired.push_back(i); });
+  }
+  env->run_until([&] { return fired.size() == 100; }, sec(5));
+  ASSERT_EQ(fired.size(), 100u);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i], static_cast<int>(i));
+  }
+}
+
+TEST(DgramEnvTimers, CancelBeforeTheFireSuppressesTheTimer) {
+  auto env = timer_env();
+  bool cancelled_ran = false;
+  bool kept_ran = false;
+  const TimerId doomed =
+      env->set_timer(msec(5), [&] { cancelled_ran = true; });
+  env->set_timer(msec(10), [&] { kept_ran = true; });
+  env->cancel_timer(doomed);
+  env->run_for(msec(30));
+  EXPECT_FALSE(cancelled_ran);
+  EXPECT_TRUE(kept_ran);
+}
+
+TEST(DgramEnvTimers, StaleInvalidAndUnknownCancelsLeaveLiveTimersFiring) {
+  auto env = timer_env();
+  int first = 0;
+  const TimerId fired_id = env->set_timer(0, [&] { ++first; });
+  env->run_until([&] { return first == 1; }, sec(5));
+  ASSERT_EQ(first, 1);
+
+  // The next timer takes the fired one's queue slot (the low half of an
+  // EventId) under a new generation; the stale id must not reach it.
+  int live = 0;
+  const TimerId reused = env->set_timer(msec(5), [&] { ++live; });
+  const TimerId other = env->set_timer(msec(5), [&] { ++live; });
+  EXPECT_NE(reused, fired_id);
+  EXPECT_EQ(reused & 0xffffffffu, fired_id & 0xffffffffu);
+  env->cancel_timer(fired_id);
+  env->cancel_timer(kInvalidTimer);
+  env->cancel_timer(~TimerId{0});
+  env->cancel_timer(other + 1000);
+  env->run_until([&] { return live == 2; }, sec(5));
+  EXPECT_EQ(live, 2);
+  EXPECT_EQ(first, 1);
+}
+
+TEST(DgramEnvTimers, ZeroDelaySelfRearmingTimerCannotWedgeRunFor) {
+  // The drain fires against a snapshot of the clock, so a zero-delay tick
+  // that re-arms itself runs once per loop iteration and run_for still
+  // returns on time, with other timers firing alongside it.
+  auto env = timer_env();
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    env->set_timer(0, tick);
+  };
+  env->set_timer(0, tick);
+  bool other_ran = false;
+  env->set_timer(msec(5), [&] { other_ran = true; });
+  const auto t0 = std::chrono::steady_clock::now();
+  env->run_for(msec(30));
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took, std::chrono::seconds(2));
+  EXPECT_GT(ticks, 1);
+  EXPECT_TRUE(other_ran);
+}
+
 TEST(SocketTransport, ConfigParsing) {
   const std::string text = R"(
 # demo cluster
@@ -287,6 +371,69 @@ max_delay_ms = 5
                                  &error)
                    .has_value());
   EXPECT_FALSE(parse_node_config("", &error).has_value());
+
+  // The wire path has no keys: a [net] section is an unknown section.
+  EXPECT_FALSE(parse_node_config(
+                   "[net]\ncoalesce = true\n[peers]\n0 = 127.0.0.1:9100\n",
+                   &error)
+                   .has_value());
+  EXPECT_NE(error.find("unknown section [net]"), std::string::npos) << error;
+
+  // Every *_ms key is bounded by kMaxDurationMs: its twin at the bound
+  // parses, one past it, INT64_MAX (whose x1000 would overflow) and a
+  // value strtoll cannot represent are all rejected by name.
+  const std::string peer = "[peers]\n0 = 127.0.0.1:9100\n";
+  const std::string day = std::to_string(kMaxDurationMs);
+  const struct {
+    const char* section;
+    const char* key;
+    DurUs NodeConfig::*field;
+  } ms_keys[] = {
+      {"cluster", "period_ms", &NodeConfig::period},
+      {"cluster", "initial_timeout_ms", &NodeConfig::initial_timeout},
+      {"cluster", "timeout_increment_ms", &NodeConfig::timeout_increment},
+      {"chaos", "min_delay_ms", &NodeConfig::min_delay},
+      {"chaos", "max_delay_ms", &NodeConfig::max_delay},
+      {"kv", "batch_wait_ms", &NodeConfig::kv_batch_wait},
+      {"kv", "lease_establish_ms", &NodeConfig::kv_lease_establish},
+  };
+  for (const auto& k : ms_keys) {
+    SCOPED_TRACE(k.key);
+    const auto with = [&](const std::string& v) {
+      std::string text = std::string("[") + k.section + "]\n" + k.key +
+                         " = " + v + "\n";
+      // min_delay_ms may not exceed max_delay_ms.
+      if (std::string(k.key) == "min_delay_ms") {
+        text += "max_delay_ms = " + day + "\n";
+      }
+      return text + peer;
+    };
+    const auto at_bound = parse_node_config(with(day), &error);
+    ASSERT_TRUE(at_bound.has_value()) << error;
+    EXPECT_EQ((*at_bound).*k.field, msec(kMaxDurationMs));
+    for (const std::string& v : {std::to_string(kMaxDurationMs + 1),
+                                 std::string("9223372036854775807"),
+                                 std::string("99999999999999999999")}) {
+      error.clear();
+      EXPECT_FALSE(parse_node_config(with(v), &error).has_value()) << v;
+      EXPECT_NE(error.find(std::string(k.key) + " must be in"),
+                std::string::npos)
+          << error;
+      EXPECT_NE(error.find(day), std::string::npos) << error;
+    }
+  }
+
+  // loss must lie in [0,1); NaN fails every comparison and is rejected.
+  const auto half = parse_node_config("[chaos]\nloss = 0.5\n" + peer, &error);
+  ASSERT_TRUE(half.has_value()) << error;
+  EXPECT_DOUBLE_EQ(half->loss, 0.5);
+  for (const char* v : {"nan", "NaN", "-nan", "1", "inf"}) {
+    EXPECT_FALSE(
+        parse_node_config(std::string("[chaos]\nloss = ") + v + "\n" + peer,
+                          &error)
+            .has_value())
+        << v;
+  }
 }
 
 }  // namespace
