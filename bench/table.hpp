@@ -11,6 +11,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "obs/json.hpp"
+
 /// \file table.hpp
 /// Minimal fixed-width table printer shared by the experiment binaries, so
 /// every bench emits its results in the same readable layout — and, when
@@ -49,19 +51,6 @@ inline JsonSink& sink() {
   return s;
 }
 
-inline void json_escape(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (c == '\n') {
-      *out += "\\n";
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 inline void close_open_table() {
   JsonSink& s = sink();
   if (s.in_table) {
@@ -82,7 +71,7 @@ std::string json_cell(const T& value) {
     std::ostringstream os;
     os << value;
     std::string out = "\"";
-    json_escape(&out, os.str());
+    obs::json::escape_into(&out, os.str());
     out += "\"";
     return out;
   }
@@ -115,9 +104,9 @@ inline int finish() {
   if (!s.active) return 0;
   detail::close_open_table();
   std::string j = "{\n  \"schema\": \"";
-  detail::json_escape(&j, s.schema);
+  obs::json::escape_into(&j, s.schema);
   j += "\",\n  \"bench\": \"";
-  detail::json_escape(&j, s.bench);
+  obs::json::escape_into(&j, s.bench);
   // Machine context, so checked-in baselines say what they were measured
   // on. Shape-gated (not value-gated) by tools/check_bench_schema.py.
   const long page = ::sysconf(_SC_PAGESIZE);
@@ -169,12 +158,12 @@ class Table {
     s.in_table = true;
     s.any_row = false;
     s.body += "\n    {\n      \"section\": \"";
-    detail::json_escape(&s.body, s.section);
+    obs::json::escape_into(&s.body, s.section);
     s.body += "\",\n      \"headers\": [";
     for (std::size_t i = 0; i < headers_.size(); ++i) {
       if (i) s.body += ", ";
       s.body += "\"";
-      detail::json_escape(&s.body, headers_[i]);
+      obs::json::escape_into(&s.body, headers_[i]);
       s.body += "\"";
     }
     s.body += "],\n      \"rows\": [";

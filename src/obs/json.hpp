@@ -7,7 +7,8 @@
 #include <vector>
 
 /// \file json.hpp
-/// A minimal recursive-descent JSON reader for the observability tools.
+/// A minimal recursive-descent JSON reader for the observability tools,
+/// and the one string escaper every JSON writer in the repo uses.
 ///
 /// The repo's machine-readable artifacts (ecfd.trace.v1, ecfd.metrics.v1,
 /// bench reports) are all JSON emitted by this codebase; tools/ecfd_trace
@@ -77,5 +78,10 @@ class Value {
 /// Parses \p text. On failure returns a null Value and sets \p error (with
 /// a byte offset) when non-null.
 Value parse(const std::string& text, std::string* error = nullptr);
+
+/// Appends \p s to \p out as the body of a JSON string literal: quote and
+/// backslash escaped, and every control character below 0x20 too, so
+/// strict readers (Python's json among them) accept the output.
+void escape_into(std::string* out, const std::string& s);
 
 }  // namespace ecfd::obs::json

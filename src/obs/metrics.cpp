@@ -1,5 +1,7 @@
 #include "obs/metrics.hpp"
 
+#include "obs/json.hpp"
+
 namespace ecfd::obs {
 
 MetricsRegistry::Cell* MetricsRegistry::counter(const std::string& name) {
@@ -50,24 +52,13 @@ void MetricsRegistry::import_counters(const sim::Counters& src,
   }
 }
 
-namespace {
-
-void json_escape_into(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os,
                                  const std::string& source) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string j;
   j += "{\n  \"schema\": \"ecfd.metrics.v1\",\n";
   j += "  \"source\": \"";
-  json_escape_into(&j, source);
+  json::escape_into(&j, source);
   j += "\",\n";
 
   j += "  \"counters\": {";
@@ -76,7 +67,7 @@ void MetricsRegistry::write_json(std::ostream& os,
     j += first ? "\n" : ",\n";
     first = false;
     j += "    \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\": " + std::to_string(cell.load(std::memory_order_relaxed));
   }
   j += counters_.empty() ? "},\n" : "\n  },\n";
@@ -87,7 +78,7 @@ void MetricsRegistry::write_json(std::ostream& os,
     j += first ? "\n" : ",\n";
     first = false;
     j += "    \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\": " + std::to_string(cell.load(std::memory_order_relaxed));
   }
   j += gauges_.empty() ? "},\n" : "\n  },\n";
@@ -98,7 +89,7 @@ void MetricsRegistry::write_json(std::ostream& os,
     j += first ? "\n" : ",\n";
     first = false;
     j += "    \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\": {\"count\": " + std::to_string(h->count()) +
          ", \"sum\": " + std::to_string(h->sum()) + ", \"buckets\": [";
     // Trailing all-zero buckets are elided; bucket i lower bound is

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace ecfd::obs {
 
@@ -151,37 +152,13 @@ std::uint64_t Recorder::dropped_total() const {
   return d;
 }
 
-namespace {
-
-void json_escape_into(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
-}  // namespace
-
 void Recorder::write_trace_json(std::ostream& os) const {
   const std::vector<Event> events = merged();
   std::string j;
   j.reserve(events.size() * 48 + 512);
   j += "{\n  \"schema\": \"ecfd.trace.v1\",\n";
   j += "  \"source\": \"";
-  json_escape_into(&j, meta_.source);
+  json::escape_into(&j, meta_.source);
   j += "\",\n";
   j += "  \"clock\": \"";
   j += meta_.clock == ClockDomain::kVirtual ? "virtual" : "monotonic";
@@ -195,7 +172,7 @@ void Recorder::write_trace_json(std::ostream& os) const {
   for (std::size_t i = 0; i < strs.size(); ++i) {
     if (i != 0) j += ", ";
     j += "\"";
-    json_escape_into(&j, strs[i]);
+    json::escape_into(&j, strs[i]);
     j += "\"";
   }
   j += "],\n";

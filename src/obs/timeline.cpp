@@ -22,26 +22,6 @@ EventType event_type_from_name(const std::string& name) {
   return EventType::kNone;
 }
 
-void json_escape_into(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 const std::string& label_of(const MergedTimeline& t, std::int32_t id) {
   static const std::string kEmpty;
   if (id < 0 || static_cast<std::size_t>(id) >= t.strings.size()) return kEmpty;
@@ -411,7 +391,7 @@ struct ChromeWriter {
     j += "{\"ph\": \"M\", \"pid\": " + std::to_string(pid);
     if (tid >= 0) j += ", \"tid\": " + std::to_string(tid);
     j += ", \"name\": \"" + kind + "\", \"args\": {\"name\": \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\"}}";
   }
 
@@ -419,7 +399,7 @@ struct ChromeWriter {
                const std::string& args_json) {
     event_start();
     j += "{\"ph\": \"i\", \"s\": \"t\", \"name\": \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\", \"ts\": " + std::to_string(ts) +
          ", \"pid\": " + std::to_string(pid) +
          ", \"tid\": " + std::to_string(tid) + ", \"args\": " + args_json +
@@ -431,7 +411,7 @@ struct ChromeWriter {
     const TimeUs dur = end > ts ? end - ts : 1;
     event_start();
     j += "{\"ph\": \"X\", \"name\": \"";
-    json_escape_into(&j, name);
+    json::escape_into(&j, name);
     j += "\", \"ts\": " + std::to_string(ts) +
          ", \"dur\": " + std::to_string(dur) +
          ", \"pid\": " + std::to_string(pid) +
@@ -488,7 +468,7 @@ void write_chrome_trace(std::ostream& os, const MergedTimeline& t) {
                        ", \"b\": " + std::to_string(e.b);
     if (!label.empty()) {
       args += ", \"label\": \"";
-      json_escape_into(&args, label);
+      json::escape_into(&args, label);
       args += "\"";
     }
     args += "}";
@@ -557,7 +537,7 @@ void write_chrome_trace(std::ostream& os, const MergedTimeline& t) {
             label_of(t, static_cast<std::int32_t>(e.b));
         if (!detail.empty()) {
           args = "{\"detail\": \"";
-          json_escape_into(&args, detail);
+          json::escape_into(&args, detail);
           args += "\"}";
         }
         break;

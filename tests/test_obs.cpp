@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/table.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/timeline.hpp"
@@ -181,6 +184,62 @@ TEST(MetricsRegistry, JsonIsDeterministicAndTagged) {
             std::string::npos);
   // Keys sorted: a.first before b.second.
   EXPECT_LT(os1.str().find("a.first"), os1.str().find("b.second"));
+}
+
+/// True when no byte below 0x20 sits inside a string literal of \p doc.
+bool control_free_strings(const std::string& doc) {
+  bool in_string = false;
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    const auto c = static_cast<unsigned char>(doc[i]);
+    if (!in_string) {
+      in_string = c == '"';
+    } else if (c < 0x20) {
+      return false;
+    } else if (c == '\\') {
+      ++i;  // the escaped character
+    } else if (c == '"') {
+      in_string = false;
+    }
+  }
+  return true;
+}
+
+TEST(JsonEscape, WritersEscapeControlCharactersInStrings) {
+  // A metric name and a bench cell with a newline and a raw \x01: both
+  // writers must emit them escaped, so strict readers accept the output.
+  const std::string odd = "odd\nname\x01\"q\\";
+  MetricsRegistry m;
+  m.add(odd, 3);
+  std::ostringstream metrics;
+  m.write_json(metrics, odd);
+  EXPECT_TRUE(control_free_strings(metrics.str())) << metrics.str();
+  std::string error;
+  const json::Value doc = json::parse(metrics.str(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  EXPECT_EQ(doc.at("source").as_string(), odd);
+  EXPECT_EQ(doc.at("counters").at(odd).as_int(), 3);
+
+  const std::string path = testing::TempDir() + "obs_json_escape.json";
+  const std::string flag = "--json";
+  char arg0[] = "test_obs";
+  std::vector<char*> argv = {arg0, const_cast<char*>(flag.c_str()),
+                             const_cast<char*>(path.c_str())};
+  bench::init(static_cast<int>(argv.size()), argv.data(), "json_escape");
+  bench::section(odd);
+  bench::Table t({"cell"});
+  t.print_header();
+  t.print_row(odd);
+  ASSERT_EQ(bench::finish(), 0);
+  std::ifstream in(path);
+  std::stringstream table;
+  table << in.rdbuf();
+  EXPECT_TRUE(control_free_strings(table.str())) << table.str();
+  const json::Value report = json::parse(table.str(), &error);
+  ASSERT_TRUE(error.empty()) << error;
+  const json::Value& first = report.at("tables").as_array().at(0);
+  EXPECT_EQ(first.at("section").as_string(), odd);
+  EXPECT_EQ(first.at("rows").as_array().at(0).as_array().at(0).as_string(),
+            odd);
 }
 
 // --- Trace JSON round-trip and merge ----------------------------------

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "runner/suite.hpp"
@@ -62,17 +63,6 @@ struct ExperimentAgg {
   double seq_wall{0.0};  ///< sum of per-case sequential walls
   double par_wall{0.0};  ///< wall of the pooled parallel pass
 };
-
-void json_escape(std::string* out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
 
 std::string fmt(double v) {
   char buf[64];
@@ -300,7 +290,7 @@ int main(int argc, char** argv) {
       if (!first) j += ",\n";
       first = false;
       j += "    {\n      \"name\": \"";
-      json_escape(&j, name);
+      ecfd::obs::json::escape_into(&j, name);
       j += "\",\n";
       j += "      \"cases\": " + std::to_string(a.cases) + ",\n";
       j += "      \"events\": " + std::to_string(a.events) + ",\n";
