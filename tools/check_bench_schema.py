@@ -213,222 +213,170 @@ def check_chrome(path: str) -> int:
     return 0
 
 
-# The pinned shape of an ecfd.bench_net.v1 report: section -> headers.
-# bench_net always emits one row per {poll,uring} x {single,coalesced}
-# combination; rows where the backend cannot run carry available=0.
-BENCH_NET_SECTIONS = (
-    ("pair_throughput",
-     ("backend", "coalesce", "available", "frames", "frames_per_s",
-      "p50_us", "p99_us")),
-    ("storm",
-     ("backend", "coalesce", "available", "nodes", "frames",
-      "frames_per_s", "dgrams_per_frame")),
-    ("coalescing_ablation",
-     ("backend", "coalesce", "available", "period_ms",
-      "dgrams_per_peer_tick", "detect_ms")),
-)
+# Pinned report shapes, one per --bench-* flag: the schema tag, the bench
+# name, and per section the headers plus the leading cells of every
+# required row (a row matches a required key on that many cells). A row's
+# first cell is its label; every later cell must be numeric. Wall-clock
+# cells move between machines, so they are type-checked only; the claims
+# that come from exact counts live in each bench's gate.
 BENCH_NET_COMBOS = (("poll", 0), ("poll", 1), ("uring", 0), ("uring", 1))
+FD_SCALE_MIN_RATIO = 10.0
 
 
-def check_bench_net(path: str) -> int:
-    """Validates one ecfd.bench_net.v1 real-network benchmark report."""
-    doc = load(path)
-    if doc.get("schema") != "ecfd.bench_net.v1":
-        fail(f"{path}: schema tag '{doc.get('schema')}' != 'ecfd.bench_net.v1'")
-    if doc.get("bench") != "bench_net":
-        fail(f"{path}: bench name '{doc.get('bench')}' != 'bench_net'")
-    check_host(doc, path)
-    tables = doc.get("tables")
-    if not isinstance(tables, list) or len(tables) != len(BENCH_NET_SECTIONS):
-        got = len(tables) if isinstance(tables, list) else type(tables).__name__
-        fail(f"{path}: expected {len(BENCH_NET_SECTIONS)} tables, got {got}")
-    for i, ((section, headers), t) in enumerate(zip(BENCH_NET_SECTIONS, tables)):
-        if t.get("section") != section:
-            fail(f"{path}: tables[{i}] section '{t.get('section')}' "
-                 f"!= '{section}'")
-        if tuple(t.get("headers", ())) != headers:
-            fail(f"{path}: tables[{i}] ('{section}') headers "
-                 f"{t.get('headers')} != {list(headers)}")
-        rows = t.get("rows")
-        if not isinstance(rows, list) or len(rows) != len(BENCH_NET_COMBOS):
-            fail(f"{path}: tables[{i}] ('{section}') must have exactly "
-                 f"{len(BENCH_NET_COMBOS)} rows (one per backend x coalesce)")
-        for j, row in enumerate(rows):
-            if len(row) != len(headers):
-                fail(f"{path}: tables[{i}] row {j} has {len(row)} cells "
-                     f"for {len(headers)} headers")
-            backend, coalesce = BENCH_NET_COMBOS[j]
-            if row[0] != backend or row[1] != coalesce:
-                fail(f"{path}: tables[{i}] row {j} is "
-                     f"({row[0]!r}, {row[1]!r}), expected "
-                     f"({backend!r}, {coalesce})")
+def bench_net_gate(path: str, tables) -> str:
+    """Every bench_net row says whether its backend could run."""
+    for i, t in enumerate(tables):
+        for j, row in enumerate(t["rows"]):
             if row[2] not in (0, 1):
                 fail(f"{path}: tables[{i}] row {j} available={row[2]!r} "
                      "not in {0, 1}")
-            for cell in row[3:]:
-                if not isinstance(cell, (int, float)):
-                    fail(f"{path}: tables[{i}] row {j} non-numeric "
-                         f"measurement {cell!r}")
     avail = sum(r[2] for r in tables[0]["rows"])
-    print(f"bench_net schema OK: {path}, {len(tables)} sections, "
-          f"{avail}/{len(BENCH_NET_COMBOS)} combos available")
-    return 0
+    return f"{avail}/{len(BENCH_NET_COMBOS)} combos available"
 
 
-# The pinned shape of the full bench_e13_scale_fd report: per section, the
-# headers and the (stack, n) rows it must contain. Sections 2/3 carry
-# wall-clock or machine-local numbers, so only presence and numeric type
-# are enforced; section 1 and the headline come from exact deterministic
-# counts, which is why the 10x ratio gate below is safe in CI.
-FD_SCALE_MIN_RATIO = 10.0
-FD_SCALE_SECTIONS = (
-    ("E13 steady-state message cost (deterministic sim)",
-     ("stack", "n", "period_ms", "msgs_per_node_per_period",
-      "msgs_per_node_per_sec", "total_msgs"),
-     (("heartbeat_p", 256), ("heartbeat_p", 1024), ("heartbeat_p", 4096),
-      ("efficient_p", 256), ("efficient_p", 1024), ("efficient_p", 4096),
-      ("hier_c", 256), ("hier_c", 1024), ("hier_c", 4096),
-      ("hier_c", 16384),
-      ("swim", 256), ("swim", 1024), ("swim", 4096), ("swim", 16384))),
-    ("E13 detection latency (threaded runtime)",
-     ("stack", "n", "period_ms", "detect_first_ms", "detect_p50_ms",
-      "detect_max_ms", "detected", "observers", "msgs_per_node_per_sec"),
-     (("heartbeat_p", 256), ("heartbeat_p", 1024),
-      ("hier_c", 256), ("hier_c", 1024),
-      ("swim", 256), ("swim", 1024))),
-    ("E13 per-host memory (threaded runtime, constructed stacks)",
-     ("stack", "n", "heap_mb", "kb_per_host"),
-     (("heartbeat_p", 256), ("heartbeat_p", 1024), ("heartbeat_p", 4096),
-      ("heartbeat_p", 16384),
-      ("hier_c", 256), ("hier_c", 1024), ("hier_c", 4096),
-      ("hier_c", 16384),
-      ("swim", 256), ("swim", 1024), ("swim", 4096), ("swim", 16384))),
-    ("E13 headline: per-node message cost at n=4096",
-     ("stack", "msgs_per_node_per_period", "flat_ratio"),
-     (("heartbeat_p", None), ("hier_c", None), ("swim", None))),
-)
-
-
-def check_bench_fd_scale(path: str) -> int:
-    """Validates the checked-in bench_e13_scale_fd full report."""
-    doc = load(path)
-    if doc.get("schema") != "ecfd.bench.v1":
-        fail(f"{path}: schema tag '{doc.get('schema')}' != 'ecfd.bench.v1'")
-    if doc.get("bench") != "e13_scale_fd":
-        fail(f"{path}: bench name '{doc.get('bench')}' != 'e13_scale_fd'")
-    check_host(doc, path)
-    tables = doc.get("tables")
-    if not isinstance(tables, list) or len(tables) != len(FD_SCALE_SECTIONS):
-        got = len(tables) if isinstance(tables, list) else type(tables).__name__
-        fail(f"{path}: expected {len(FD_SCALE_SECTIONS)} tables "
-             f"(full-mode report), got {got}")
-    for i, ((section, headers, required), t) in enumerate(
-        zip(FD_SCALE_SECTIONS, tables)
-    ):
-        if t.get("section") != section:
-            fail(f"{path}: tables[{i}] section '{t.get('section')}' "
-                 f"!= '{section}'")
-        if tuple(t.get("headers", ())) != headers:
-            fail(f"{path}: tables[{i}] ('{section}') headers "
-                 f"{t.get('headers')} != {list(headers)}")
-        rows = t.get("rows")
-        if not isinstance(rows, list):
-            fail(f"{path}: tables[{i}] ('{section}') rows missing")
-        seen = {}
-        for j, row in enumerate(rows):
-            if len(row) != len(headers):
-                fail(f"{path}: tables[{i}] row {j} has {len(row)} cells "
-                     f"for {len(headers)} headers")
-            for cell in row[1:]:
-                if not isinstance(cell, (int, float)):
-                    fail(f"{path}: tables[{i}] row {j} non-numeric "
-                         f"measurement {cell!r}")
-            key = (row[0], row[1] if "n" in headers else None)
-            seen[key] = row
-        for key in required:
-            if key not in seen:
-                fail(f"{path}: tables[{i}] ('{section}') missing required "
-                     f"row {key}")
-    # The experiment's headline claim, from exact deterministic counts:
-    # both scalable stacks >= FD_SCALE_MIN_RATIO x cheaper per node than
-    # the flat heartbeat at n=4096.
+def fd_scale_gate(path: str, tables) -> str:
+    """E13's claims: the headline ratio and strong completeness at scale."""
+    # From exact deterministic counts: both scalable stacks >=
+    # FD_SCALE_MIN_RATIO x cheaper per node than the flat heartbeat at
+    # n=4096.
     head = {r[0]: r for r in tables[3]["rows"]}
     for stack in ("hier_c", "swim"):
         ratio = head[stack][2]
         if ratio < FD_SCALE_MIN_RATIO:
             fail(f"{path}: headline flat_ratio for {stack} is {ratio}, "
                  f"must be >= {FD_SCALE_MIN_RATIO}")
-    # Strong completeness at scale: every detection-latency row must show
-    # all observers detecting the crash within the bench deadline.
+    # Every detection-latency row must show all observers detecting the
+    # crash within the bench deadline.
     for row in tables[1]["rows"]:
         detected, observers = row[6], row[7]
         if detected != observers:
             fail(f"{path}: detection row {row[0]} n={row[1]} has "
                  f"{detected}/{observers} observers detecting the crash")
     ratios = {s: round(head[s][2], 1) for s in ("hier_c", "swim")}
-    print(f"bench_fd_scale schema OK: {path}, {len(tables)} sections, "
-          f"n=4096 flat ratios {ratios}")
-    return 0
+    return f"n=4096 flat ratios {ratios}"
 
 
-# The pinned shape of the bench_obs report (BENCH_OBS.json): per section,
-# the headers and the leading cells of every required row. Wall-clock
-# costs move between machines, so only presence and numeric type of the
-# measurement cells are enforced.
-BENCH_OBS_SECTIONS = (
-    ("recorder_push",
-     ("case", "threads", "ops", "ns_op"),
-     (("hot_push",), ("disabled_push",), ("contended_push",))),
-    ("qos_ingest",
-     ("case", "n", "ops", "ns_op"),
-     (("ingest",), ("export_gauges",))),
-    ("flight_snapshot",
-     ("case", "depth", "ops", "us_op"),
-     (("snapshot", 1024), ("crash_dump", 1024),
-      ("snapshot", 4096), ("crash_dump", 4096),
-      ("snapshot", 16384), ("crash_dump", 16384))),
-)
+PINNED = {
+    # bench/bench_net: one row per {poll,uring} x {single,coalesced}
+    # combination, exactly these and in this order; rows where the backend
+    # cannot run carry available=0.
+    "--bench-net": dict(
+        name="bench_net", schema="ecfd.bench_net.v1", bench="bench_net",
+        exact_rows=True, gate=bench_net_gate,
+        sections=(
+            ("pair_throughput",
+             ("backend", "coalesce", "available", "frames", "frames_per_s",
+              "p50_us", "p99_us"),
+             BENCH_NET_COMBOS),
+            ("storm",
+             ("backend", "coalesce", "available", "nodes", "frames",
+              "frames_per_s", "dgrams_per_frame"),
+             BENCH_NET_COMBOS),
+            ("coalescing_ablation",
+             ("backend", "coalesce", "available", "period_ms",
+              "dgrams_per_peer_tick", "detect_ms"),
+             BENCH_NET_COMBOS),
+        )),
+    # The full bench_e13_scale_fd report (BENCH_FD_SCALE.json).
+    "--bench-fd-scale": dict(
+        name="bench_fd_scale", schema="ecfd.bench.v1", bench="e13_scale_fd",
+        exact_rows=False, gate=fd_scale_gate,
+        sections=(
+            ("E13 steady-state message cost (deterministic sim)",
+             ("stack", "n", "period_ms", "msgs_per_node_per_period",
+              "msgs_per_node_per_sec", "total_msgs"),
+             (("heartbeat_p", 256), ("heartbeat_p", 1024),
+              ("heartbeat_p", 4096),
+              ("efficient_p", 256), ("efficient_p", 1024),
+              ("efficient_p", 4096),
+              ("hier_c", 256), ("hier_c", 1024), ("hier_c", 4096),
+              ("hier_c", 16384),
+              ("swim", 256), ("swim", 1024), ("swim", 4096),
+              ("swim", 16384))),
+            ("E13 detection latency (threaded runtime)",
+             ("stack", "n", "period_ms", "detect_first_ms", "detect_p50_ms",
+              "detect_max_ms", "detected", "observers",
+              "msgs_per_node_per_sec"),
+             (("heartbeat_p", 256), ("heartbeat_p", 1024),
+              ("hier_c", 256), ("hier_c", 1024),
+              ("swim", 256), ("swim", 1024))),
+            ("E13 per-host memory (threaded runtime, constructed stacks)",
+             ("stack", "n", "heap_mb", "kb_per_host"),
+             (("heartbeat_p", 256), ("heartbeat_p", 1024),
+              ("heartbeat_p", 4096), ("heartbeat_p", 16384),
+              ("hier_c", 256), ("hier_c", 1024), ("hier_c", 4096),
+              ("hier_c", 16384),
+              ("swim", 256), ("swim", 1024), ("swim", 4096),
+              ("swim", 16384))),
+            ("E13 headline: per-node message cost at n=4096",
+             ("stack", "msgs_per_node_per_period", "flat_ratio"),
+             (("heartbeat_p",), ("hier_c",), ("swim",))),
+        )),
+    # bench/bench_obs (BENCH_OBS.json).
+    "--bench-obs": dict(
+        name="bench_obs", schema="ecfd.bench.v1", bench="obs",
+        exact_rows=False, gate=None,
+        sections=(
+            ("recorder_push",
+             ("case", "threads", "ops", "ns_op"),
+             (("hot_push",), ("disabled_push",), ("contended_push",))),
+            ("qos_ingest",
+             ("case", "n", "ops", "ns_op"),
+             (("ingest",), ("export_gauges",))),
+            ("flight_snapshot",
+             ("case", "depth", "ops", "us_op"),
+             (("snapshot", 1024), ("crash_dump", 1024),
+              ("snapshot", 4096), ("crash_dump", 4096),
+              ("snapshot", 16384), ("crash_dump", 16384))),
+        )),
+}
 
 
-def check_bench_obs(path: str) -> int:
-    """Validates the checked-in bench_obs report."""
+def check_pinned(flag: str, path: str) -> int:
+    """Validates one report against PINNED[flag], then runs its gate."""
+    spec = PINNED[flag]
     doc = load(path)
-    if doc.get("schema") != "ecfd.bench.v1":
-        fail(f"{path}: schema tag '{doc.get('schema')}' != 'ecfd.bench.v1'")
-    if doc.get("bench") != "obs":
-        fail(f"{path}: bench name '{doc.get('bench')}' != 'obs'")
+    for key in ("schema", "bench"):
+        if doc.get(key) != spec[key]:
+            fail(f"{path}: {key} '{doc.get(key)}' != '{spec[key]}'")
     check_host(doc, path)
+    sections = spec["sections"]
     tables = doc.get("tables")
-    if not isinstance(tables, list) or len(tables) != len(BENCH_OBS_SECTIONS):
+    if not isinstance(tables, list) or len(tables) != len(sections):
         got = len(tables) if isinstance(tables, list) else type(tables).__name__
-        fail(f"{path}: expected {len(BENCH_OBS_SECTIONS)} tables, got {got}")
+        fail(f"{path}: expected {len(sections)} tables, got {got}")
     for i, ((section, headers, required), t) in enumerate(
-        zip(BENCH_OBS_SECTIONS, tables)
+        zip(sections, tables)
     ):
         if t.get("section") != section:
             fail(f"{path}: tables[{i}] section '{t.get('section')}' "
                  f"!= '{section}'")
+        where = f"{path}: tables[{i}] ('{section}')"
         if tuple(t.get("headers", ())) != headers:
-            fail(f"{path}: tables[{i}] ('{section}') headers "
-                 f"{t.get('headers')} != {list(headers)}")
+            fail(f"{where} headers {t.get('headers')} != {list(headers)}")
         rows = t.get("rows")
         if not isinstance(rows, list):
-            fail(f"{path}: tables[{i}] ('{section}') rows missing")
-        seen = set()
+            fail(f"{where} rows missing")
         for j, row in enumerate(rows):
-            if len(row) != len(headers):
-                fail(f"{path}: tables[{i}] row {j} has {len(row)} cells "
-                     f"for {len(headers)} headers")
+            if not isinstance(row, list) or len(row) != len(headers):
+                fail(f"{where} row {j} is not a list of {len(headers)} "
+                     "cells")
             for cell in row[1:]:
                 if not isinstance(cell, (int, float)):
-                    fail(f"{path}: tables[{i}] row {j} non-numeric "
-                         f"measurement {cell!r}")
-            seen.add(tuple(row[:len(required[0])]))
-        for key in required:
-            if key not in seen:
-                fail(f"{path}: tables[{i}] ('{section}') missing required "
-                     f"row {key}")
-    print(f"bench_obs schema OK: {path}, {len(tables)} sections")
+                    fail(f"{where} row {j} non-numeric measurement "
+                         f"{cell!r}")
+        keys = [tuple(row[:len(required[0])]) for row in rows]
+        if spec["exact_rows"]:
+            if keys != list(required):
+                fail(f"{where} rows {keys} != {list(required)}: exactly "
+                     "these rows, in this order")
+        else:
+            for key in required:
+                if key not in keys:
+                    fail(f"{where} missing required row {key}")
+    summary = spec["gate"](path, tables) if spec["gate"] else ""
+    print(f"{spec['name']} schema OK: {path}, {len(tables)} sections"
+          + (f", {summary}" if summary else ""))
     return 0
 
 
@@ -548,12 +496,8 @@ def main() -> int:
             return check_metrics(path)
         if mode == "--trace":
             return check_trace(path)
-        if mode == "--bench-net":
-            return check_bench_net(path)
-        if mode == "--bench-fd-scale":
-            return check_bench_fd_scale(path)
-        if mode == "--bench-obs":
-            return check_bench_obs(path)
+        if mode in PINNED:
+            return check_pinned(mode, path)
         if mode == "--postmortem":
             return check_postmortem(path)
         return check_chrome(path)
