@@ -68,7 +68,7 @@ class TimerWheel {
 
   /// Cancels a pending entry, destroying its action immediately. Returns
   /// false for stale/fired/unknown handles — and never leaks bookkeeping
-  /// for them (the regression the old runtime's cancelled_ set had).
+  /// for them (the regression the old runtime's tombstone set had).
   bool cancel(WheelHandle h);
 
   /// Advances wheel time to \p now_us, invoking

@@ -34,19 +34,6 @@ bool parse_i64(const std::string& s, std::int64_t* out) {
   return true;
 }
 
-/// Parses a `*_ms` value: whole milliseconds in [lo, kMaxDurationMs].
-bool parse_ms(const std::string& s, std::int64_t lo, DurUs* out) {
-  std::int64_t ms = 0;
-  if (!parse_i64(s, &ms) || ms < lo || ms > kMaxDurationMs) return false;
-  *out = msec(ms);
-  return true;
-}
-
-std::string ms_range_error(const std::string& key, std::int64_t lo) {
-  return key + " must be in " + std::to_string(lo) + ".." +
-         std::to_string(kMaxDurationMs) + " ms (kMaxDurationMs, one day)";
-}
-
 bool parse_f64(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
@@ -99,6 +86,18 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
     return std::nullopt;
   };
 
+  // Every *_ms key, by "section.key": the field it sets and its least
+  // value. All share one ceiling, kMaxDurationMs.
+  const std::map<std::string, std::pair<DurUs*, std::int64_t>> ms_keys = {
+      {"cluster.period_ms", {&cfg.period, 1}},
+      {"cluster.initial_timeout_ms", {&cfg.initial_timeout, 1}},
+      {"cluster.timeout_increment_ms", {&cfg.timeout_increment, 0}},
+      {"chaos.min_delay_ms", {&cfg.min_delay, 0}},
+      {"chaos.max_delay_ms", {&cfg.max_delay, 0}},
+      {"kv.batch_wait_ms", {&cfg.kv_batch_wait, 0}},
+      {"kv.lease_establish_ms", {&cfg.kv_lease_establish, 0}},
+  };
+
   while (std::getline(in, raw)) {
     ++lineno;
     // Strip comments ('#' or ';' anywhere outside values we care about —
@@ -123,6 +122,19 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
     const std::string value = trim(line.substr(eq + 1));
     if (key.empty() || value.empty()) return bad("empty key or value");
 
+    const auto ms = ms_keys.find(section + "." + key);
+    if (ms != ms_keys.end()) {
+      const auto [field, lo] = ms->second;
+      std::int64_t i = 0;
+      if (!parse_i64(value, &i) || i < lo || i > kMaxDurationMs) {
+        return bad(key + " must be in " + std::to_string(lo) + ".." +
+                   std::to_string(kMaxDurationMs) +
+                   " ms (kMaxDurationMs, one day)");
+      }
+      *field = msec(i);
+      continue;
+    }
+
     if (section == "peers") {
       std::int64_t id = 0;
       if (!parse_i64(key, &id) || id < 0 || id > 4096) {
@@ -142,18 +154,6 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
         cfg.fd = value;
       } else if (key == "consensus") {
         if (!parse_bool(value, &cfg.consensus)) return bad("bad consensus flag");
-      } else if (key == "period_ms") {
-        if (!parse_ms(value, 1, &cfg.period)) {
-          return bad(ms_range_error(key, 1));
-        }
-      } else if (key == "initial_timeout_ms") {
-        if (!parse_ms(value, 1, &cfg.initial_timeout)) {
-          return bad(ms_range_error(key, 1));
-        }
-      } else if (key == "timeout_increment_ms") {
-        if (!parse_ms(value, 0, &cfg.timeout_increment)) {
-          return bad(ms_range_error(key, 0));
-        }
       } else if (key == "backend") {
         if (value != "poll" && value != "uring") {
           return bad("backend must be 'poll' or 'uring'");
@@ -168,14 +168,6 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
         if (!parse_f64(value, &cfg.loss) ||
             !(cfg.loss >= 0.0 && cfg.loss < 1.0)) {
           return bad("loss must be in [0,1)");
-        }
-      } else if (key == "min_delay_ms") {
-        if (!parse_ms(value, 0, &cfg.min_delay)) {
-          return bad(ms_range_error(key, 0));
-        }
-      } else if (key == "max_delay_ms") {
-        if (!parse_ms(value, 0, &cfg.max_delay)) {
-          return bad(ms_range_error(key, 0));
         }
       } else {
         return bad("unknown [chaos] key '" + key + "'");
@@ -199,14 +191,6 @@ std::optional<NodeConfig> parse_node_config(const std::string& text,
           return bad("bad kv batch_max_ops (1..448)");
         }
         cfg.kv_batch_max_ops = static_cast<int>(i);
-      } else if (key == "batch_wait_ms") {
-        if (!parse_ms(value, 0, &cfg.kv_batch_wait)) {
-          return bad(ms_range_error(key, 0));
-        }
-      } else if (key == "lease_establish_ms") {
-        if (!parse_ms(value, 0, &cfg.kv_lease_establish)) {
-          return bad(ms_range_error(key, 0));
-        }
       } else if (key == "snapshot_every") {
         if (!parse_i64(value, &i) || i < 0) return bad("bad kv snapshot_every");
         cfg.kv_snapshot_every = static_cast<int>(i);

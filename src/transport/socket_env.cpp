@@ -14,7 +14,16 @@ namespace ecfd::transport {
 
 bool SocketEnv::wire_init(std::string* error) {
   (void)error;  // plain sockets: nothing beyond the base's bind can fail
+  // The receive headers point into recv_bufs_ and recv_froms_, which stay
+  // put from here on; drain_socket() resets only what recvmmsg writes.
   recv_bufs_.resize(kRecvBatch * wire::kMaxFrameBytes);
+  for (std::size_t i = 0; i < kRecvBatch; ++i) {
+    recv_iovs_[i].iov_base = recv_bufs_.data() + i * wire::kMaxFrameBytes;
+    recv_iovs_[i].iov_len = wire::kMaxFrameBytes;
+    recv_msgs_[i].msg_hdr.msg_iov = &recv_iovs_[i];
+    recv_msgs_[i].msg_hdr.msg_iovlen = 1;
+    recv_msgs_[i].msg_hdr.msg_name = &recv_froms_[i];
+  }
   return true;
 }
 
@@ -29,11 +38,10 @@ void SocketEnv::wire_flush(std::vector<Datagram> out) {
         auto& sa = d.addr.empty() ? peer_sockaddr(d.dst) : d.addr;
         send_iovs_[i].iov_base = d.bytes.data();
         send_iovs_[i].iov_len = d.bytes.size();
-        msghdr& h = send_msgs_[i].msg_hdr;
-        h.msg_iov = &send_iovs_[i];
-        h.msg_iovlen = 1;
-        h.msg_name = const_cast<std::uint8_t*>(sa.data());
-        h.msg_namelen = static_cast<socklen_t>(sa.size());
+        send_msgs_[i].msg_hdr.msg_iov = &send_iovs_[i];
+        send_msgs_[i].msg_hdr.msg_iovlen = 1;
+        send_msgs_[i].msg_hdr.msg_name = const_cast<std::uint8_t*>(sa.data());
+        send_msgs_[i].msg_hdr.msg_namelen = static_cast<socklen_t>(sa.size());
       }
       const int sent = ::sendmmsg(sock_fd(), send_msgs_.data(),
                                   static_cast<unsigned int>(batch), 0);
@@ -73,17 +81,7 @@ void SocketEnv::wire_flush(std::vector<Datagram> out) {
 
 void SocketEnv::drain_socket() {
   while (use_mmsg_) {
-    std::memset(recv_msgs_.data(), 0, sizeof(recv_msgs_));
-    std::memset(recv_froms_.data(), 0, sizeof(recv_froms_));
-    for (std::size_t i = 0; i < kRecvBatch; ++i) {
-      recv_iovs_[i].iov_base = recv_bufs_.data() + i * wire::kMaxFrameBytes;
-      recv_iovs_[i].iov_len = wire::kMaxFrameBytes;
-      msghdr& h = recv_msgs_[i].msg_hdr;
-      h.msg_iov = &recv_iovs_[i];
-      h.msg_iovlen = 1;
-      h.msg_name = &recv_froms_[i];
-      h.msg_namelen = sizeof(sockaddr_in);
-    }
+    for (auto& m : recv_msgs_) m.msg_hdr.msg_namelen = sizeof(sockaddr_in);
     const int got =
         ::recvmmsg(sock_fd(), recv_msgs_.data(),
                    static_cast<unsigned int>(kRecvBatch), 0, nullptr);
@@ -98,12 +96,11 @@ void SocketEnv::drain_socket() {
     }
     recv_batch_hist().observe(got);
     for (int i = 0; i < got; ++i) {
-      const sockaddr_in& from = recv_froms_[static_cast<std::size_t>(i)];
       on_datagram(recv_bufs_.data() +
                       static_cast<std::size_t>(i) * wire::kMaxFrameBytes,
-                  recv_msgs_[static_cast<std::size_t>(i)].msg_len,
-                  pack_external_token(ntohl(from.sin_addr.s_addr),
-                                      ntohs(from.sin_port)));
+                  recv_msgs_[i].msg_len,
+                  pack_external_token(ntohl(recv_froms_[i].sin_addr.s_addr),
+                                      ntohs(recv_froms_[i].sin_port)));
     }
     if (static_cast<std::size_t>(got) < kRecvBatch) return;  // drained
   }

@@ -272,14 +272,14 @@ TEST(DgramEnvTimers, SameDeadlineTimersFireInArmingOrder) {
 
 TEST(DgramEnvTimers, CancelBeforeTheFireSuppressesTheTimer) {
   auto env = timer_env();
-  bool cancelled_ran = false;
+  bool doomed_ran = false;
   bool kept_ran = false;
   const TimerId doomed =
-      env->set_timer(msec(5), [&] { cancelled_ran = true; });
+      env->set_timer(msec(5), [&] { doomed_ran = true; });
   env->set_timer(msec(10), [&] { kept_ran = true; });
   env->cancel_timer(doomed);
   env->run_for(msec(30));
-  EXPECT_FALSE(cancelled_ran);
+  EXPECT_FALSE(doomed_ran);
   EXPECT_TRUE(kept_ran);
 }
 

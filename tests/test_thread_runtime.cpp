@@ -238,15 +238,15 @@ TEST(ThreadRuntime, ForeignThreadTimersFireAndCancel) {
   sys.host(1).emplace<Counter>();
   sys.start();
   std::atomic<bool> fired{false};
-  std::atomic<bool> cancelled_fired{false};
+  std::atomic<bool> fired_after_cancel{false};
   TimerId a = sys.host(0).set_timer(msec(30), [&fired]() { fired = true; });
   EXPECT_NE(a, kInvalidTimer);
   TimerId b = sys.host(1).set_timer(
-      msec(150), [&cancelled_fired]() { cancelled_fired = true; });
+      msec(150), [&fired_after_cancel]() { fired_after_cancel = true; });
   sys.host(1).cancel_timer(b);
   EXPECT_TRUE(eventually(3000, [&] { return fired.load(); }));
   sleep_ms(250);
-  EXPECT_FALSE(cancelled_fired.load());
+  EXPECT_FALSE(fired_after_cancel.load());
   EXPECT_TRUE(eventually(3000, [&] {
     return sys.host(0).bookkeeping_records() == 0 &&
            sys.host(1).bookkeeping_records() == 0 &&
