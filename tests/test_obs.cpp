@@ -219,12 +219,11 @@ TEST(JsonEscape, WritersEscapeControlCharactersInStrings) {
   EXPECT_EQ(doc.at("source").as_string(), odd);
   EXPECT_EQ(doc.at("counters").at(odd).as_int(), 3);
 
-  const std::string path = testing::TempDir() + "obs_json_escape.json";
-  const std::string flag = "--json";
+  std::string path = testing::TempDir() + "obs_json_escape.json";
   char arg0[] = "test_obs";
-  std::vector<char*> argv = {arg0, const_cast<char*>(flag.c_str()),
-                             const_cast<char*>(path.c_str())};
-  bench::init(static_cast<int>(argv.size()), argv.data(), "json_escape");
+  char flag[] = "--json";
+  char* argv[] = {arg0, flag, path.data()};
+  bench::init(3, argv, "json_escape");
   bench::section(odd);
   bench::Table t({"cell"});
   t.print_header();
