@@ -423,6 +423,13 @@ max_delay_ms = 5
     }
   }
 
+  // strtoll saturates an out-of-range value; checking ERANGE rejects it
+  // for every integer key, not only the bounded durations.
+  EXPECT_FALSE(
+      parse_node_config("[cluster]\nseed = 99999999999999999999\n" + peer,
+                        &error)
+          .has_value());
+
   // loss must lie in [0,1); NaN fails every comparison and is rejected.
   const auto half = parse_node_config("[chaos]\nloss = 0.5\n" + peer, &error);
   ASSERT_TRUE(half.has_value()) << error;
