@@ -119,19 +119,18 @@ fd::SwimFd::Config swim_cfg(DurUs period) {
   return c;
 }
 
-/// Installs one stack instance on a host (sim ProcessHost or ThreadHost —
-/// both expose emplace<P>) and returns it as the suspicion oracle.
-template <class Host>
-const SuspectOracle* install(Stack s, Host& host, DurUs period) {
+/// Installs one stack instance on a host (simulated or threaded) and
+/// returns it as the suspicion oracle.
+const SuspectOracle* install(Stack s, Env& host, DurUs period) {
   switch (s) {
     case Stack::kFlat:
-      return &host.template emplace<fd::HeartbeatP>(flat_cfg(period));
+      return &host.emplace<fd::HeartbeatP>(flat_cfg(period));
     case Stack::kEffP:
-      return &host.template emplace<fd::EfficientP>(effp_cfg(period));
+      return &host.emplace<fd::EfficientP>(effp_cfg(period));
     case Stack::kHier:
-      return &host.template emplace<fd::HierC>(hier_cfg(period));
+      return &host.emplace<fd::HierC>(hier_cfg(period));
     case Stack::kSwim:
-      return &host.template emplace<fd::SwimFd>(swim_cfg(period));
+      return &host.emplace<fd::SwimFd>(swim_cfg(period));
   }
   return nullptr;
 }

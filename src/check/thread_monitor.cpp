@@ -40,8 +40,10 @@ ThreadedFdMonitor::ThreadedFdMonitor(runtime::ThreadSystem& sys,
       monitor_(std::move(cfg)),
       suspects_(static_cast<std::size_t>(sys.n()), nullptr),
       leaders_(static_cast<std::size_t>(sys.n()), nullptr),
-      got_suspected_(static_cast<std::size_t>(sys.n())),
-      got_trusted_(static_cast<std::size_t>(sys.n())) {}
+      replies_(std::make_shared<Replies>()) {
+  replies_->suspected.resize(static_cast<std::size_t>(sys.n()));
+  replies_->trusted.resize(static_cast<std::size_t>(sys.n()));
+}
 
 void ThreadedFdMonitor::attach(ProcessId p, const SuspectOracle* s,
                                const LeaderOracle* l) {
@@ -51,13 +53,14 @@ void ThreadedFdMonitor::attach(ProcessId p, const SuspectOracle* s,
 
 void ThreadedFdMonitor::sample(DurUs timeout) {
   const int n = sys_.n();
+  Replies& r = *replies_;
   std::uint64_t round;
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    round = ++round_;
-    pending_ = 0;
-    for (auto& s : got_suspected_) s.reset();
-    for (auto& t : got_trusted_) t.reset();
+    std::lock_guard<std::mutex> lk(r.mu);
+    round = ++r.round;
+    r.count = 0;
+    for (auto& s : r.suspected) s.reset();
+    for (auto& t : r.trusted) t.reset();
   }
 
   ProcessSet crashed(n);
@@ -69,31 +72,35 @@ void ThreadedFdMonitor::sample(DurUs timeout) {
       crashed.add(p);
       continue;
     }
-    if (suspects_[i] == nullptr && leaders_[i] == nullptr) continue;
+    const SuspectOracle* s = suspects_[i];
+    const LeaderOracle* l = leaders_[i];
+    if (s == nullptr && l == nullptr) continue;
     ++expected;
     // The read happens on the host's own thread: oracle state is only ever
-    // touched there, so this is the race-free way to observe it.
-    host.post([this, i, round] {
+    // touched there, so this is the race-free way to observe it. The
+    // closure owns everything it touches except the oracles, which live
+    // as long as the host.
+    host.post([replies = replies_, s, l, i, round] {
       std::optional<ProcessSet> susp;
       std::optional<ProcessId> trusted;
-      if (suspects_[i] != nullptr) susp = suspects_[i]->suspected();
-      if (leaders_[i] != nullptr) trusted = leaders_[i]->trusted();
-      std::lock_guard<std::mutex> lk(mu_);
-      if (round != round_) return;  // stale reply from a previous sample
-      got_suspected_[i] = std::move(susp);
-      got_trusted_[i] = std::move(trusted);
-      ++pending_;
-      cv_.notify_all();
+      if (s != nullptr) susp = s->suspected();
+      if (l != nullptr) trusted = l->trusted();
+      std::lock_guard<std::mutex> lk(replies->mu);
+      if (round != replies->round) return;  // stale reply
+      replies->suspected[i] = std::move(susp);
+      replies->trusted[i] = std::move(trusted);
+      ++replies->count;
+      replies->cv.notify_all();
     });
   }
 
   FdPropertyMonitor::Snapshot snap;
   {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait_for(lk, std::chrono::microseconds(timeout),
-                 [&] { return pending_ >= expected; });
-    snap.suspected = got_suspected_;
-    snap.trusted = got_trusted_;
+    std::unique_lock<std::mutex> lk(r.mu);
+    r.cv.wait_for(lk, std::chrono::microseconds(timeout),
+                  [&] { return r.count >= expected; });
+    snap.suspected = r.suspected;
+    snap.trusted = r.trusted;
   }
   snap.time = sys_.now();
   snap.crashed = crashed;

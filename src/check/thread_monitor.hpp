@@ -1,6 +1,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -40,15 +41,27 @@ class ThreadedFdMonitor {
   [[nodiscard]] const FdPropertyMonitor& monitor() const { return monitor_; }
 
   /// Human-readable report of every non-holding property: the verdict lines
-  /// plus, when the runtime carries an obs::Recorder
-  /// (ThreadSystem::Config::trace_depth or attach_recorder), the recent
-  /// state-ring events of each host named in a witness ("p<id>") — typed
-  /// suspect/unsuspect/leader-change transitions and trace() notes — so a
-  /// violation arrives with the offending host's FD history attached.
-  /// Empty when all properties hold.
+  /// plus, when an obs::Recorder is attached to the runtime
+  /// (ThreadSystem::attach_recorder), the recent state-ring events of each
+  /// host named in a witness ("p<id>") — typed suspect/unsuspect/
+  /// leader-change transitions and trace() notes — so a violation arrives
+  /// with the offending host's FD history attached. Empty when all
+  /// properties hold.
   [[nodiscard]] std::string violation_report() const;
 
  private:
+  /// Where the read closures posted by sample() put their answers. The
+  /// closures co-own it: a host busy past the sample's timeout replies
+  /// late, possibly after this monitor is gone.
+  struct Replies {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t round{0};  ///< a reply from an older sample is dropped
+    int count{0};
+    std::vector<std::optional<ProcessSet>> suspected;
+    std::vector<std::optional<ProcessId>> trusted;
+  };
+
   runtime::ThreadSystem& sys_;
   FdPropertyMonitor monitor_;
   std::vector<const SuspectOracle*> suspects_;
@@ -58,12 +71,7 @@ class ThreadedFdMonitor {
   /// runs on one coordinating thread, so this needs no lock.
   VerdictTransitions transitions_;
 
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::uint64_t round_{0};  ///< guards against late replies from a prior sample
-  int pending_{0};
-  std::vector<std::optional<ProcessSet>> got_suspected_;
-  std::vector<std::optional<ProcessId>> got_trusted_;
+  std::shared_ptr<Replies> replies_;
 };
 
 }  // namespace ecfd::check

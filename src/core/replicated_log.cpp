@@ -4,6 +4,35 @@
 
 namespace ecfd::core {
 
+LogReplica::LogReplica(Env& host, const EcfdOracle* fd, Config cfg)
+    : cfg_(cfg),
+      decided_(static_cast<std::size_t>(cfg.capacity)),
+      proposed_(static_cast<std::size_t>(cfg.capacity), kNoOpCommand),
+      sent_(static_cast<std::size_t>(cfg.capacity), 0) {
+  assert(cfg_.capacity > 0);
+  assert(cfg_.pipeline_depth > 0);
+  slots_.reserve(static_cast<std::size_t>(cfg_.capacity));
+  ConsensusC::Config slot_cfg = cfg_.consensus;
+  slot_cfg.deprioritized = kNoOpCommand;  // real commands win ties
+  for (int k = 0; k < cfg_.capacity; ++k) {
+    auto& rb = host.emplace<broadcast::ReliableBroadcast>(
+        cfg_.protocol_base + 2 * k + 1);
+    auto& cons = host.emplace<ConsensusC>(fd, &rb, slot_cfg,
+                                          cfg_.protocol_base + 2 * k);
+    cons.set_on_decide([this, k](const consensus::Decision& d) {
+      on_slot_decided(k, d);
+    });
+    if (cfg_.quiescent) {
+      cons.set_on_wakeup([this, k]() { on_slot_activity(k); });
+    }
+    slots_.push_back(&cons);
+  }
+  // Kick slot 0 so the pipeline runs even if nothing is ever submitted
+  // (other replicas' slots need our participation). Quiescent logs skip
+  // this: slots start on first submit or first foreign traffic.
+  propose_next();
+}
+
 void LogReplica::submit(consensus::Value command) {
   assert(command != kNoOpCommand);
   pending_.push_back(command);

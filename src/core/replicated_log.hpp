@@ -10,7 +10,7 @@
 
 #include "broadcast/reliable_broadcast.hpp"
 #include "core/consensus_c.hpp"
-#include "net/process_host.hpp"
+#include "net/env.hpp"
 
 /// \file replicated_log.hpp
 /// State-machine replication on repeated instances of the paper's
@@ -31,12 +31,8 @@
 /// learned slot k's decision; deeper pipelines keep up to that many
 /// consecutive slots in flight, tracking which pending commands are
 /// already proposed so the same command is never racing itself in two
-/// slots.
-///
-/// The ctor is templated over the host because the same replica runs on
-/// all three Env backends (sim ProcessHost, sharded ThreadHost, UDP
-/// SocketEnv) — each exposes `emplace<P>(args...)` for protocol
-/// installation.
+/// slots. The same replica runs on every Env backend (simulator, sharded
+/// threads, UDP).
 
 namespace ecfd::core {
 
@@ -81,41 +77,11 @@ class LogReplica {
     ConsensusC::Config consensus;
   };
 
-  /// Installs the instances on \p host (anything with
-  /// `emplace<P>(args...)` constructing P with (Env&, args...)). \p fd is
-  /// the host's ◇C module (not owned; must outlive the host).
-  template <class Host>
-  LogReplica(Host& host, const EcfdOracle* fd) : LogReplica(host, fd, Config{}) {}
-
-  template <class Host>
-  LogReplica(Host& host, const EcfdOracle* fd, Config cfg)
-      : cfg_(cfg),
-        decided_(static_cast<std::size_t>(cfg.capacity)),
-        proposed_(static_cast<std::size_t>(cfg.capacity), kNoOpCommand),
-        sent_(static_cast<std::size_t>(cfg.capacity), 0) {
-    assert(cfg_.capacity > 0);
-    assert(cfg_.pipeline_depth > 0);
-    slots_.reserve(static_cast<std::size_t>(cfg_.capacity));
-    ConsensusC::Config slot_cfg = cfg_.consensus;
-    slot_cfg.deprioritized = kNoOpCommand;  // real commands win ties
-    for (int k = 0; k < cfg_.capacity; ++k) {
-      auto& rb = host.template emplace<broadcast::ReliableBroadcast>(
-          cfg_.protocol_base + 2 * k + 1);
-      auto& cons = host.template emplace<ConsensusC>(
-          fd, &rb, slot_cfg, cfg_.protocol_base + 2 * k);
-      cons.set_on_decide([this, k](const consensus::Decision& d) {
-        on_slot_decided(k, d);
-      });
-      if (cfg_.quiescent) {
-        cons.set_on_wakeup([this, k]() { on_slot_activity(k); });
-      }
-      slots_.push_back(&cons);
-    }
-    // Kick slot 0 so the pipeline runs even if nothing is ever submitted
-    // (other replicas' slots need our participation). Quiescent logs skip
-    // this: slots start on first submit or first foreign traffic.
-    propose_next();
-  }
+  /// Installs the instances on \p host. \p fd is the host's ◇C module
+  /// (not owned; must outlive the host).
+  LogReplica(Env& host, const EcfdOracle* fd)
+      : LogReplica(host, fd, Config{}) {}
+  LogReplica(Env& host, const EcfdOracle* fd, Config cfg);
 
   LogReplica(const LogReplica&) = delete;
   LogReplica& operator=(const LogReplica&) = delete;

@@ -5,11 +5,6 @@
 namespace ecfd::kv {
 namespace {
 
-/// Peer-relayed requests get tokens in a reserved range so they can never
-/// collide with transport-issued external tokens (SocketEnv packs
-/// ip:port into the low 48 bits).
-constexpr KvService::Token kPeerTokenBase = 0xFFFF'0000'0000'0000ULL;
-
 bool all_gets(const Request& req) {
   return std::all_of(req.ops.begin(), req.ops.end(), [](const Op& op) {
     return op.op == OpKind::kGet;
@@ -52,17 +47,10 @@ int KvService::applied_slot() const {
 // ---------------------------------------------------------------- clients
 
 void KvService::handle_request(Token token, const Request& req) {
-  handle_request_from(token, /*via_peer=*/false, kNoProcess, req);
-}
-
-void KvService::handle_request_from(Token token, bool via_peer,
-                                    ProcessId peer, const Request& req) {
   if (m_requests_) m_requests_->fetch_add(1, std::memory_order_relaxed);
 
   Waiter w;
   w.token = token;
-  w.via_peer = via_peer;
-  w.peer = peer;
   w.session = req.session;
   w.tag = req.tag;
 
@@ -211,12 +199,6 @@ void KvService::flush_batch() {
 }
 
 void KvService::reply_to(const Waiter& w, Reply r) {
-  if (w.via_peer) {
-    env_.send(w.peer, Message::make<Reply>(protocol_ids::kKvService,
-                                           kMsgClientReply, "kv.reply",
-                                           std::move(r)));
-    return;
-  }
   if (reply_sink_) reply_sink_(w.token, r);
 }
 
@@ -408,12 +390,6 @@ bool KvService::lease_read_ok(const Request& req) const {
 
 void KvService::on_message(const Message& m) {
   switch (m.type) {
-    case kMsgClientRequest:
-      handle_request_from(kPeerTokenBase |
-                              static_cast<Token>(
-                                  static_cast<std::uint32_t>(m.src)),
-                          /*via_peer=*/true, m.src, m.as<Request>());
-      break;
     case kMsgApplied:
       on_peer_applied(m.src, m.as<std::int64_t>());
       break;
@@ -421,7 +397,9 @@ void KvService::on_message(const Message& m) {
       on_snapshot_chunk(m.as<SnapshotChunk>());
       break;
     default:
-      break;  // kMsgClientReply is handled by clients, not the service
+      // Client frames arrive through handle_request(), never as peer
+      // traffic; any other type is ignored.
+      break;
   }
 }
 

@@ -55,8 +55,8 @@
 /// The service runs unchanged on all three Env backends. Peer traffic
 /// (watermarks, snapshot chunks) flows through Env::send; client traffic
 /// enters via handle_request() — called by the UDP node's external-frame
-/// handler, by tests directly, or by on_message for requests relayed from
-/// a peer process — and leaves through the pluggable reply sink.
+/// handler or by tests directly — and leaves through the pluggable reply
+/// sink.
 
 namespace ecfd::kv {
 
@@ -64,7 +64,7 @@ class KvService final : public Protocol {
  public:
   /// Opaque client identity a reply should be routed back to. For the UDP
   /// node this is SocketEnv's external token (ip:port); tests pick any
-  /// value. Peer-relayed requests use an internal scheme.
+  /// value.
   using Token = std::uint64_t;
   using ReplySink = std::function<void(Token, const Reply&)>;
 
@@ -117,8 +117,6 @@ class KvService final : public Protocol {
  private:
   struct Waiter {
     Token token{};
-    bool via_peer{false};
-    ProcessId peer{kNoProcess};
     std::uint64_t session{};
     std::uint64_t tag{};
     std::size_t first{};  ///< index range of this request's cmds in batch
@@ -131,8 +129,6 @@ class KvService final : public Protocol {
     std::vector<std::uint8_t> bytes;
   };
 
-  void handle_request_from(Token token, bool via_peer, ProcessId peer,
-                           const Request& req);
   void reply_to(const Waiter& w, Reply r);
   void enqueue(const Waiter& w, const Request& req);
   void on_batch_delivered(const broadcast::RbEnvelope& e);

@@ -2,7 +2,10 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "net/message.hpp"
 #include "obs/recorder.hpp"
@@ -14,23 +17,30 @@
 ///
 /// Protocols (failure detectors, transformations, consensus) are written
 /// against this interface only, so the identical protocol code runs on the
-/// deterministic discrete-event simulator (net/process_host.hpp) and on the
-/// real threaded runtime (runtime/thread_env.hpp).
+/// deterministic discrete-event simulator (net/process_host.hpp), the
+/// sharded threaded runtime (runtime/thread_env.hpp) and UDP
+/// (transport/dgram_env.hpp). The process's protocol table lives here too:
+/// every runtime registers, starts and dispatches to its protocols the
+/// same way, so stack builders (consensus/fd_stacks.hpp, LogReplica) take
+/// a plain Env&.
 
 namespace ecfd {
 
 /// Protocols name event kinds without the obs:: qualifier.
 using obs::EventType;
 
+class Protocol;
+
 /// Handle for a pending timer.
 using TimerId = std::uint64_t;
 
 inline constexpr TimerId kInvalidTimer = 0;
 
-/// Per-process runtime services.
+/// Per-process runtime services, and the table of protocols the process
+/// hosts.
 class Env {
  public:
-  virtual ~Env() = default;
+  virtual ~Env();
 
   /// Current time (virtual in simulation, wall-clock in the threaded
   /// runtime), microseconds.
@@ -100,6 +110,23 @@ class Env {
   /// cold-path label interning.
   [[nodiscard]] obs::Recorder* recorder() const { return obs_recorder_; }
 
+  /// Registers a protocol instance; the env owns it. Protocol ids must be
+  /// unique within a process, and registration ends when the protocols
+  /// start.
+  void add_protocol(std::unique_ptr<Protocol> proto);
+
+  /// Constructs and registers a protocol of type P with (Env&, args...).
+  template <class P, class... Args>
+  P& emplace(Args&&... args) {
+    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
+    P& ref = *owned;
+    add_protocol(std::move(owned));
+    return ref;
+  }
+
+  /// The protocol registered under \p id (nullptr when absent).
+  [[nodiscard]] Protocol* protocol(ProtocolId id) const;
+
   /// Backends call this at bind time (before protocol start) to attach the
   /// process's rings for host id \p host (rings must already exist — see
   /// Recorder::bind_hosts). Pass rec == nullptr to detach. Not thread-safe
@@ -110,10 +137,24 @@ class Env {
     obs_state_ring_ = rec == nullptr ? nullptr : &rec->state_ring(host);
   }
 
+ protected:
+  /// Runs Protocol::start() on every registered protocol, in registration
+  /// order.
+  void start_protocols();
+  [[nodiscard]] bool protocols_started() const { return started_; }
+
+  /// Hands \p m to the protocol registered under m.protocol, recording
+  /// kDeliver first. Returns false, delivering nothing, when no protocol
+  /// has that id; the caller decides whether to count the drop.
+  bool dispatch(const Message& m);
+
  private:
   obs::Recorder* obs_recorder_{nullptr};
   obs::EventRing* obs_ring_{nullptr};
   obs::EventRing* obs_state_ring_{nullptr};
+  std::vector<std::unique_ptr<Protocol>> protocols_;
+  std::unordered_map<ProtocolId, Protocol*> by_id_;
+  bool started_{false};
 };
 
 /// Base class for protocol instances hosted on a process.

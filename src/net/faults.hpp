@@ -7,10 +7,9 @@
 
 /// \file faults.hpp
 /// The arithmetic of the gray-failure and clock-skew fault model, on plain
-/// values. The simulated host (net/process_host.hpp) and the threaded host
-/// (runtime/thread_env.hpp) keep the state their own way — plain fields on
-/// one, atomics on the other — and both run it through FaultSpec, so one
-/// scenario means the same thing on either runtime.
+/// values, for the simulated host (net/process_host.hpp) — the one runtime
+/// that injects these faults (check/fuzz.cpp's gray and skew profiles,
+/// bench E12).
 
 namespace ecfd {
 

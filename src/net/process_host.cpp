@@ -9,18 +9,6 @@ ProcessHost::ProcessHost(ProcessId id, int n, sim::Scheduler& sched,
                          Network& network, Rng rng)
     : id_(id), n_(n), sched_(sched), network_(network), rng_(rng) {}
 
-void ProcessHost::add_protocol(std::unique_ptr<Protocol> proto) {
-  assert(proto != nullptr);
-  const ProtocolId pid = proto->protocol_id();
-  assert(by_id_.find(pid) == by_id_.end() && "duplicate protocol id on host");
-  by_id_.emplace(pid, proto.get());
-  owned_.push_back(std::move(proto));
-}
-
-void ProcessHost::start() {
-  for (auto& p : owned_) p->start();
-}
-
 void ProcessHost::crash() {
   if (crashed_) return;
   crashed_ = true;
@@ -28,19 +16,6 @@ void ProcessHost::crash() {
   for (TimerId t : live_timers_) sched_.cancel(t);
   live_timers_.clear();
   record(EventType::kCrash);
-}
-
-void ProcessHost::deliver(const Message& m) {
-  if (crashed_) return;
-  auto it = by_id_.find(m.protocol);
-  if (it == by_id_.end()) return;  // no such protocol on this host
-  record(EventType::kDeliver, m.src, m.protocol);
-  it->second->on_message(m);
-}
-
-Protocol* ProcessHost::protocol(ProtocolId id) const {
-  auto it = by_id_.find(id);
-  return it == by_id_.end() ? nullptr : it->second;
 }
 
 void ProcessHost::set_gray(std::uint32_t factor_milli, DurUs send_extra) {

@@ -1,9 +1,6 @@
 #pragma once
 
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "net/env.hpp"
 #include "net/faults.hpp"
@@ -22,21 +19,8 @@ class ProcessHost final : public Env {
   ProcessHost(ProcessId id, int n, sim::Scheduler& sched, Network& network,
               Rng rng);
 
-  /// Registers a protocol instance. The host owns it. Protocol ids must be
-  /// unique within a host.
-  void add_protocol(std::unique_ptr<Protocol> proto);
-
-  /// Constructs and registers a protocol of type P with (Env&, args...).
-  template <class P, class... Args>
-  P& emplace(Args&&... args) {
-    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
-    P& ref = *owned;
-    add_protocol(std::move(owned));
-    return ref;
-  }
-
   /// Starts every registered protocol (in registration order).
-  void start();
+  void start() { start_protocols(); }
 
   /// Crash-stop: irreversibly silences the process.
   void crash();
@@ -46,10 +30,9 @@ class ProcessHost final : public Env {
   /// Delivers an inbound message to the protocol registered under
   /// m.protocol. Messages for crashed hosts or unknown protocols are
   /// dropped.
-  void deliver(const Message& m);
-
-  /// Protocol lookup (nullptr when absent); used by tests.
-  [[nodiscard]] Protocol* protocol(ProtocolId id) const;
+  void deliver(const Message& m) {
+    if (!crashed_) dispatch(m);
+  }
 
   // --- fault-model knobs (check/ scenario pack) ----------------------
 
@@ -99,8 +82,6 @@ class ProcessHost final : public Env {
   bool crashed_{false};
   TimeUs crash_time_{kTimeNever};
   FaultSpec fault_;
-  std::vector<std::unique_ptr<Protocol>> owned_;
-  std::unordered_map<ProtocolId, Protocol*> by_id_;
   std::unordered_set<TimerId> live_timers_;
 };
 

@@ -7,8 +7,8 @@ namespace ecfd::runtime {
 namespace {
 
 /// The Worker whose loop is executing on this thread (nullptr on every
-/// non-worker thread: tests, monitors). Lets hosts tell owner-thread calls
-/// from foreign ones and gives route() a lock-free RNG stream.
+/// non-worker thread: tests, monitors). Lets hosts check that timer calls
+/// run in their own context and gives route() a lock-free RNG stream.
 thread_local Worker* t_worker = nullptr;
 
 }  // namespace
@@ -19,15 +19,6 @@ ThreadHost::ThreadHost(ThreadSystem& sys, ProcessId id, int n,
                        std::uint64_t seed)
     : sys_(sys), id_(id), n_(n), rng_(seed) {}
 
-void ThreadHost::add_protocol(std::unique_ptr<Protocol> proto) {
-  assert(proto != nullptr);
-  assert(!sys_.started() && "register protocols before start()");
-  const ProtocolId pid = proto->protocol_id();
-  assert(by_id_.find(pid) == by_id_.end());
-  by_id_.emplace(pid, proto.get());
-  owned_.push_back(std::move(proto));
-}
-
 void ThreadHost::post_at(TimeUs when, std::function<void()> fn) {
   enqueue(when, sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
 }
@@ -35,10 +26,6 @@ void ThreadHost::post_at(TimeUs when, std::function<void()> fn) {
 void ThreadHost::crash() {
   record(EventType::kCrash);
   crashed_.store(true, std::memory_order_release);
-}
-
-std::size_t ThreadHost::bookkeeping_records() const {
-  return foreign_records_.load(std::memory_order_acquire);
 }
 
 std::vector<TraceRecord> ThreadHost::recent_trace() const {
@@ -64,156 +51,50 @@ std::vector<TraceRecord> ThreadHost::recent_trace() const {
   return out;
 }
 
-TimeUs ThreadHost::now() const { return sys_.now() + clock_error(); }
-
-void ThreadHost::set_gray(std::uint32_t factor_milli, DurUs send_extra) {
-  assert(factor_milli > 0 && "gray factor must be positive");
-  gray_factor_milli_.store(factor_milli, std::memory_order_release);
-  gray_send_extra_.store(send_extra, std::memory_order_release);
-}
-
-void ThreadHost::set_clock_skew(std::int64_t offset_us,
-                                std::int32_t drift_ppm, DurUs bound_us) {
-  assert(drift_ppm > -1'000'000 && "clock cannot run backwards");
-  skew_offset_.store(offset_us, std::memory_order_relaxed);
-  skew_drift_ppm_.store(drift_ppm, std::memory_order_relaxed);
-  skew_bound_.store(bound_us, std::memory_order_relaxed);
-  skew_since_.store(sys_.now(), std::memory_order_relaxed);
-  skew_active_.store(offset_us != 0 || drift_ppm != 0,
-                     std::memory_order_release);
-}
-
-FaultSpec ThreadHost::fault() const {
-  FaultSpec f;
-  f.gray_factor_milli = gray_factor_milli_.load(std::memory_order_acquire);
-  f.gray_send_extra = gray_send_extra_.load(std::memory_order_acquire);
-  if (skew_active_.load(std::memory_order_acquire)) {
-    f.skew_offset = skew_offset_.load(std::memory_order_relaxed);
-    f.skew_drift_ppm = skew_drift_ppm_.load(std::memory_order_relaxed);
-    f.skew_bound = skew_bound_.load(std::memory_order_relaxed);
-    f.skew_since = skew_since_.load(std::memory_order_relaxed);
-  }
-  return f;
-}
-
-std::int64_t ThreadHost::clock_error() const {
-  // Without skew, now() pays this one atomic load and nothing else.
-  if (!skew_active_.load(std::memory_order_acquire)) return 0;
-  return fault().clock_error(sys_.now());
-}
+TimeUs ThreadHost::now() const { return sys_.now(); }
 
 void ThreadHost::send(ProcessId dst, Message m) {
+  assert(dst >= 0 && dst < n_);
   if (crashed()) return;
   m.src = id_;
   m.dst = dst;
   record(EventType::kSend, dst, m.protocol);
-  const DurUs extra = gray_send_extra_.load(std::memory_order_acquire);
-  if (extra > 0) {
-    // Gray NIC: the message leaves the host late but otherwise intact.
-    post_at(sys_.now() + extra, [this, msg = std::move(m)]() mutable {
-      if (!crashed()) sys_.route(std::move(msg));
-    });
-    return;
-  }
   sys_.route(std::move(m));
 }
 
 TimerId ThreadHost::set_timer(DurUs delay, std::function<void()> fn) {
-  const TimerId id = set_timer_impl(delay, std::move(fn));
-  if (id != kInvalidTimer) {
-    record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
-  }
+  assert(in_context() &&
+         "ThreadHost::set_timer must run on the host's worker or before "
+         "ThreadSystem::start()");
+  if (crashed()) return kInvalidTimer;
+  const WheelHandle id = worker_->wheel_.schedule(
+      sys_.now() + delay, static_cast<std::uint32_t>(id_),
+      TimerWheel::Kind::kTimer,
+      sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
+  live_timers_.fetch_add(1, std::memory_order_acq_rel);
+  record(EventType::kTimerSet, -1, static_cast<std::int64_t>(id));
   return id;
 }
 
-TimerId ThreadHost::set_timer_impl(DurUs delay, std::function<void()> fn) {
-  delay = fault().timer_delay(delay);
-  if (crashed()) return kInvalidTimer;
-  const TimeUs when = sys_.now() + delay;
-  if (!sys_.started() || on_owner_thread()) {
-    return arm_on_owner(when, std::move(fn));
-  }
-  // Foreign thread: the wheel is single-threaded, so route the arm through
-  // the mailbox and hand back an id from the out-of-band namespace.
-  const TimerId fid =
-      kForeignTimerBit | foreign_seq_.fetch_add(1, std::memory_order_relaxed);
-  foreign_records_.fetch_add(1, std::memory_order_acq_rel);
-  arm_foreign(fid, when, std::move(fn));
-  return fid;
-}
-
 void ThreadHost::cancel_timer(TimerId id) {
-  if (id != kInvalidTimer) {
-    record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
-  }
+  assert(in_context() &&
+         "ThreadHost::cancel_timer must run on the host's worker or before "
+         "ThreadSystem::start()");
   if (id == kInvalidTimer) return;
-  if (!sys_.started() || on_owner_thread()) {
-    cancel_on_owner(id);
-    return;
+  record(EventType::kTimerCancel, -1, static_cast<std::int64_t>(id));
+  if (worker_->wheel_.cancel(id)) {
+    live_timers_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  enqueue(now(), sim::InplaceAction([this, id]() { cancel_on_owner(id); }));
 }
 
-bool ThreadHost::on_owner_thread() const {
-  return worker_ != nullptr && t_worker == worker_;
+bool ThreadHost::in_context() const {
+  return t_worker == worker_ || !sys_.started();
 }
 
 void ThreadHost::enqueue(TimeUs when, sim::InplaceAction fn) {
   if (sys_.stopping()) return;
   mailbox_.push(WorkItem{when, std::move(fn)});
   worker_->notify(when);
-}
-
-void ThreadHost::dispatch(const Message& m) {
-  auto it = by_id_.find(m.protocol);
-  if (it == by_id_.end()) return;
-  record(EventType::kDeliver, m.src, m.protocol);
-  it->second->on_message(m);
-}
-
-TimerId ThreadHost::arm_on_owner(TimeUs when, std::function<void()> fn) {
-  const WheelHandle h = worker_->wheel_.schedule(
-      when, static_cast<std::uint32_t>(id_), TimerWheel::Kind::kTimer,
-      sim::InplaceAction([f = std::move(fn)]() mutable { f(); }));
-  live_timers_.fetch_add(1, std::memory_order_acq_rel);
-  worker_->publish_wheel_size();
-  return h;
-}
-
-void ThreadHost::arm_foreign(TimerId fid, TimeUs when,
-                             std::function<void()> fn) {
-  enqueue(sys_.now(),
-          sim::InplaceAction([this, fid, when, f = std::move(fn)]() mutable {
-            const WheelHandle h = worker_->wheel_.schedule(
-                when, static_cast<std::uint32_t>(id_), TimerWheel::Kind::kTimer,
-                sim::InplaceAction([this, fid, f2 = std::move(f)]() mutable {
-                  foreign_timers_.erase(fid);
-                  foreign_records_.fetch_sub(1, std::memory_order_acq_rel);
-                  f2();
-                }));
-            foreign_timers_.emplace(fid, h);
-            live_timers_.fetch_add(1, std::memory_order_acq_rel);
-            worker_->publish_wheel_size();
-          }));
-}
-
-void ThreadHost::cancel_on_owner(TimerId id) {
-  if ((id & kForeignTimerBit) != 0) {
-    auto it = foreign_timers_.find(id);
-    if (it == foreign_timers_.end()) return;  // fired or cancelled already
-    const WheelHandle h = it->second;
-    foreign_timers_.erase(it);
-    foreign_records_.fetch_sub(1, std::memory_order_acq_rel);
-    if (worker_->wheel_.cancel(h)) {
-      live_timers_.fetch_sub(1, std::memory_order_acq_rel);
-      worker_->publish_wheel_size();
-    }
-    return;
-  }
-  if (worker_->wheel_.cancel(id)) {
-    live_timers_.fetch_sub(1, std::memory_order_acq_rel);
-    worker_->publish_wheel_size();
-  }
 }
 
 // --------------------------------------------------------------- worker
@@ -248,7 +129,6 @@ void Worker::run() {
                                       sim::InplaceAction& fn) {
       run_entry(host, kind, fn);
     });
-    publish_wheel_size();
     if (did_work) continue;
 
     // Sleep protocol (Dekker-style): publish how long we intend to sleep,
@@ -338,12 +218,6 @@ ThreadSystem::ThreadSystem(Config cfg)
     hosts_.push_back(
         std::make_unique<ThreadHost>(*this, p, cfg_.n, seeder.next()));
   }
-  if (cfg_.trace_depth > 0) {
-    recorder_owned_ = std::make_unique<obs::Recorder>(
-        static_cast<std::size_t>(cfg_.trace_depth));
-    recorder_ = recorder_owned_.get();
-    bind_recorder_rings();
-  }
   int m = cfg_.workers > 0
               ? cfg_.workers
               : static_cast<int>(std::thread::hardware_concurrency());
@@ -376,17 +250,11 @@ TimeUs ThreadSystem::now() const {
 
 void ThreadSystem::attach_recorder(obs::Recorder* rec) {
   assert(!started() && "attach_recorder before start()");
-  recorder_ = rec != nullptr ? rec : recorder_owned_.get();
+  recorder_ = rec;
   if (rec == nullptr) {
     for (auto& h : hosts_) h->bind_obs(nullptr, -1);
-    if (recorder_ != nullptr) bind_recorder_rings();
     return;
   }
-  bind_recorder_rings();
-}
-
-void ThreadSystem::bind_recorder_rings() {
-  obs::Recorder* rec = recorder_;
   rec->meta().source = "runtime";
   rec->meta().clock = obs::ClockDomain::kMonotonic;
   // All hosts share epoch_, so one wall calibration covers the system:
@@ -409,11 +277,8 @@ void ThreadSystem::start() {
   const TimeUs t0 = now();
   for (auto& h : hosts_) {
     ThreadHost* host = h.get();
-    host->mailbox_.push(WorkItem{t0, sim::InplaceAction([host]() {
-                                   for (auto& proto : host->owned_) {
-                                     proto->start();
-                                   }
-                                 })});
+    host->mailbox_.push(WorkItem{
+        t0, sim::InplaceAction([host]() { host->start_protocols(); })});
   }
   started_.store(true, std::memory_order_release);
   for (auto& w : workers_) w->start();
@@ -447,12 +312,6 @@ void ThreadSystem::route(Message m) {
   ThreadHost* hp = &dst;
   dst.enqueue(when, sim::InplaceAction(
                         [hp, m = std::move(m)]() { hp->dispatch(m); }));
-}
-
-std::int64_t ThreadSystem::wheel_entries() const {
-  std::int64_t total = 0;
-  for (const auto& w : workers_) total += w->wheel_entries();
-  return total;
 }
 
 }  // namespace ecfd::runtime

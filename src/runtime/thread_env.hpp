@@ -8,11 +8,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "net/env.hpp"
-#include "net/faults.hpp"
 #include "runtime/mailbox.hpp"
 #include "runtime/timer_wheel.hpp"
 
@@ -33,6 +31,16 @@
 /// every deferred action is a sim::InplaceAction, so the steady-state
 /// heartbeat path performs zero heap allocations.
 ///
+/// Threading contract: a host's protocols, timers and RNG belong to the
+/// worker that owns it. set_timer() and cancel_timer() run there — in a
+/// protocol callback or a post()ed closure — or before
+/// ThreadSystem::start(), the same single-context rule the simulator and
+/// UDP Envs have; an assert enforces it. post(), post_at(), send() and
+/// crash() are safe from any thread.
+///
+/// Faults here are crash, delay and loss; gray failures and clock skew
+/// are injected on the simulator only (net/process_host.hpp).
+///
 /// Unlike the simulator, execution is nondeterministic; tests against this
 /// runtime assert eventual properties with generous deadlines.
 
@@ -41,10 +49,10 @@ namespace ecfd::runtime {
 class ThreadSystem;
 class Worker;
 
-/// One rendered record of a host's recent observability history
-/// (Config::trace_depth / an attached obs::Recorder). Env::trace text
-/// round-trips through the recorder's interned strings; typed events
-/// render as "obs.<type>" tags.
+/// One rendered record of a host's recent observability history, read
+/// from the recorder attached with ThreadSystem::attach_recorder.
+/// Env::trace text round-trips through the recorder's interned strings;
+/// typed events render as "obs.<type>" tags.
 struct TraceRecord {
   TimeUs time{0};
   std::string tag;
@@ -60,17 +68,6 @@ class ThreadHost final : public Env {
   ThreadHost(const ThreadHost&) = delete;
   ThreadHost& operator=(const ThreadHost&) = delete;
 
-  /// Registers a protocol (must happen before ThreadSystem::start()).
-  void add_protocol(std::unique_ptr<Protocol> proto);
-
-  template <class P, class... Args>
-  P& emplace(Args&&... args) {
-    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
-    P& ref = *owned;
-    add_protocol(std::move(owned));
-    return ref;
-  }
-
   /// Runs \p fn on this process's executor as soon as possible.
   void post(std::function<void()> fn) { post_at(now(), std::move(fn)); }
 
@@ -83,25 +80,6 @@ class ThreadHost final : public Env {
     return crashed_.load(std::memory_order_acquire);
   }
 
-  /// Gray failure: the host stays alive but slow. Timer delays stretch by
-  /// factor_milli/1000 (1000 = healthy) and every send is held back by
-  /// \p send_extra before entering the fabric. Safe from any thread;
-  /// mirrors sim::ProcessHost::set_gray so the same scenario drives both
-  /// runtimes.
-  void set_gray(std::uint32_t factor_milli, DurUs send_extra);
-  [[nodiscard]] bool gray() const { return fault().gray(); }
-
-  /// Bounded clock skew: now() reads offset + drift_ppm-scaled elapsed
-  /// time ahead of (or behind) the fabric clock, clamped to ±bound_us
-  /// (bound 0 = unclamped; only mutation tests use that). Timers fire
-  /// early/late accordingly. Mirrors sim::ProcessHost::set_clock_skew.
-  void set_clock_skew(std::int64_t offset_us, std::int32_t drift_ppm,
-                      DurUs bound_us);
-  void clear_clock_skew() { set_clock_skew(0, 0, 0); }
-
-  /// Current now() − fabric-clock difference in microseconds.
-  [[nodiscard]] std::int64_t clock_error() const;
-
   /// Timers armed and not yet fired or cancelled. After quiescence (all
   /// timers fired or cancelled) this returns exactly 0 — the regression
   /// guard for the old runtime's unbounded cancelled-set leak.
@@ -109,14 +87,8 @@ class ThreadHost final : public Env {
     return live_timers_.load(std::memory_order_acquire);
   }
 
-  /// Internal bookkeeping entries that outlive their timer (cross-thread
-  /// timer indirections). Must also drop to 0 after quiescence on a live
-  /// host.
-  [[nodiscard]] std::size_t bookkeeping_records() const;
-
   /// The last recorded state-transition events, oldest first, rendered to
-  /// text (empty when no recorder is attached and Config::trace_depth is
-  /// 0). Safe from any thread.
+  /// text (empty when no recorder is attached). Safe from any thread.
   [[nodiscard]] std::vector<TraceRecord> recent_trace() const;
 
   // --- Env ------------------------------------------------------------
@@ -124,7 +96,6 @@ class ThreadHost final : public Env {
   void send(ProcessId dst, Message m) override;
   TimerId set_timer(DurUs delay, std::function<void()> fn) override;
   void cancel_timer(TimerId id) override;
-  TimerId set_timer_impl(DurUs delay, std::function<void()> fn);
   [[nodiscard]] ProcessId self() const override { return id_; }
   [[nodiscard]] int n() const override { return n_; }
   Rng& rng() override { return rng_; }
@@ -133,21 +104,10 @@ class ThreadHost final : public Env {
   friend class ThreadSystem;
   friend class Worker;
 
-  /// Cross-thread timer ids (set_timer called off the owning worker) live
-  /// in a separate namespace so the hot owner-thread path needs no map at
-  /// all: a plain wheel handle IS the TimerId.
-  static constexpr TimerId kForeignTimerBit = TimerId{1} << 63;
-
-  /// The fault state as plain values (skew fields zero while inactive).
-  [[nodiscard]] FaultSpec fault() const;
-
-  // --- sharded-executor internals (owner-thread unless noted) ---------
-  [[nodiscard]] bool on_owner_thread() const;
+  /// True on this host's worker thread, and on any thread before
+  /// ThreadSystem::start() (no worker runs yet).
+  [[nodiscard]] bool in_context() const;
   void enqueue(TimeUs when, sim::InplaceAction fn);  // any thread
-  void dispatch(const Message& m);
-  TimerId arm_on_owner(TimeUs when, std::function<void()> fn);
-  void arm_foreign(TimerId fid, TimeUs when, std::function<void()> fn);
-  void cancel_on_owner(TimerId id);
 
   ThreadSystem& sys_;
   ProcessId id_;
@@ -156,30 +116,10 @@ class ThreadHost final : public Env {
 
   std::atomic<bool> crashed_{false};
 
-  // Gray-failure state (any thread reads, injector writes).
-  std::atomic<std::uint32_t> gray_factor_milli_{1000};
-  std::atomic<std::int64_t> gray_send_extra_{0};
-
-  // Clock-skew state. `skew_active_` gates the hot now() path; the fields
-  // behind it only change under set_clock_skew (rare) and are read
-  // relaxed — a torn read across an injector update momentarily blends
-  // old and new skew, which is within the model (skew is adversarial).
-  std::atomic<bool> skew_active_{false};
-  std::atomic<std::int64_t> skew_offset_{0};
-  std::atomic<std::int32_t> skew_drift_ppm_{0};
-  std::atomic<std::int64_t> skew_bound_{0};
-  std::atomic<TimeUs> skew_since_{0};
-
   // Sharded executor state.
   Worker* worker_{nullptr};
   Mailbox mailbox_;
   std::atomic<std::int64_t> live_timers_{0};
-  std::unordered_map<TimerId, WheelHandle> foreign_timers_;  // owner thread
-  std::atomic<std::size_t> foreign_records_{0};
-  std::atomic<std::uint64_t> foreign_seq_{1};
-
-  std::vector<std::unique_ptr<Protocol>> owned_;
-  std::unordered_map<ProtocolId, Protocol*> by_id_;
 };
 
 /// One executor thread of the sharded runtime: owns a shard of the hosts,
@@ -190,12 +130,6 @@ class Worker {
 
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
-
-  /// Live wheel entries, as last published by the owning thread (for
-  /// introspection/tests; exact once the system is quiescent).
-  [[nodiscard]] std::int64_t wheel_entries() const {
-    return wheel_size_.load(std::memory_order_acquire);
-  }
 
  private:
   friend class ThreadHost;
@@ -213,10 +147,6 @@ class Worker {
   /// Producer-side wake: called after a mailbox push destined for this
   /// worker. Only touches the mutex when the worker may sleep past `when`.
   void notify(TimeUs when);
-  void publish_wheel_size() {
-    wheel_size_.store(static_cast<std::int64_t>(wheel_.size()),
-                      std::memory_order_release);
-  }
 
   ThreadSystem& sys_;
   int index_;
@@ -225,7 +155,6 @@ class Worker {
   std::vector<ThreadHost*> hosts_;
   std::vector<WorkItem> batch_;
 
-  std::atomic<std::int64_t> wheel_size_{0};
   /// kAwake while running; while sleeping, the wall-clock instant the
   /// worker will wake at on its own. Producers must notify iff their
   /// item's due time is earlier (seq_cst pairs with Mailbox's flag).
@@ -255,11 +184,6 @@ class ThreadSystem {
     /// fd::HierC) keeps intra-cell traffic on one worker. 1 (default)
     /// preserves the classic round-robin p % M layout.
     int shard_block{1};
-    /// Per-host event-ring depth (0 = tracing off). When on, the system
-    /// owns an obs::Recorder keeping the last `trace_depth` events per
-    /// host so monitor violation reports can show what the offending host
-    /// last did. Ignored when an external recorder is attached.
-    int trace_depth{0};
   };
 
   explicit ThreadSystem(Config cfg);
@@ -292,17 +216,13 @@ class ThreadSystem {
     return routed_.load(std::memory_order_relaxed);
   }
 
-  /// Sum of live timer-wheel entries across workers, as last published by
-  /// each worker; exact at quiescence.
-  [[nodiscard]] std::int64_t wheel_entries() const;
-
-  /// Attaches an external typed event recorder (tools that export traces).
-  /// Must be called before start(); \p rec must outlive this system.
-  /// Overrides the Config::trace_depth internal recorder.
+  /// Attaches a typed event recorder (one ring per host): trace export, and
+  /// the recent history ThreadedFdMonitor's violation reports show. Must
+  /// be called before start(); \p rec must outlive this system. Pass
+  /// nullptr to detach.
   void attach_recorder(obs::Recorder* rec);
 
-  /// The active recorder: external if attached, else the internal
-  /// Config::trace_depth one, else nullptr.
+  /// The attached recorder, or nullptr.
   [[nodiscard]] obs::Recorder* recorder() const { return recorder_; }
 
  private:
@@ -316,13 +236,8 @@ class ThreadSystem {
     return stopping_.load(std::memory_order_acquire);
   }
 
-  void bind_recorder_rings();
-
   Config cfg_;
   std::chrono::steady_clock::time_point epoch_;
-  /// Owned recorder (Config::trace_depth); declared before hosts_/workers_
-  /// so rings outlive every thread that can still push into them.
-  std::unique_ptr<obs::Recorder> recorder_owned_;
   obs::Recorder* recorder_{nullptr};
   /// Delay/loss draws for sends from threads that are not workers (tests,
   /// monitors).

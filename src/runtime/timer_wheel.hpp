@@ -153,8 +153,9 @@ class TimerWheel {
     return static_cast<TimeUs>(tick << kTickShift);
   }
   static WheelHandle encode(std::int32_t index, std::uint32_t gen) {
-    // Bit 63 stays clear (gen is truncated to 31 bits) so callers can use
-    // the high bit of a TimerId for their own out-of-band namespaces.
+    // Bit 63 stays clear (gen is truncated to 31 bits), so a handle is
+    // also a non-negative int64 — the form kTimerSet/kTimerCancel events
+    // record it in.
     return (static_cast<WheelHandle>(gen & 0x7fffffffu) << 32) |
            (static_cast<WheelHandle>(index) + 1);
   }

@@ -74,7 +74,7 @@ DgramEnv::~DgramEnv() {
 }
 
 void DgramEnv::attach_recorder(obs::Recorder* rec) {
-  assert(!started_ && "attach_recorder before start()");
+  assert(!protocols_started() && "attach_recorder before start()");
   if (rec == nullptr) {
     bind_obs(nullptr, -1);
     return;
@@ -148,19 +148,9 @@ bool DgramEnv::open(std::string* error) {
   return true;
 }
 
-void DgramEnv::add_protocol(std::unique_ptr<Protocol> proto) {
-  assert(!started_ && "register protocols before start()");
-  Protocol* p = proto.get();
-  const bool inserted = by_id_.emplace(p->protocol_id(), p).second;
-  assert(inserted && "duplicate protocol id on this node");
-  (void)inserted;
-  owned_.push_back(std::move(proto));
-}
-
 void DgramEnv::start() {
   assert(fd_ >= 0 && "open() must succeed before start()");
-  started_ = true;
-  for (auto& p : owned_) p->start();
+  start_protocols();
 }
 
 TimeUs DgramEnv::now() const {
@@ -313,13 +303,7 @@ void DgramEnv::fire_due_timers() {
 }
 
 void DgramEnv::deliver(const Message& m) {
-  const auto it = by_id_.find(m.protocol);
-  if (it == by_id_.end()) {
-    metrics_.add("net.unknown_protocol");
-    return;
-  }
-  record(EventType::kDeliver, m.src, m.protocol);
-  it->second->on_message(m);
+  if (!dispatch(m)) metrics_.add("net.unknown_protocol");
 }
 
 void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,

@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/env.hpp"
@@ -75,17 +74,6 @@ class DgramEnv : public Env {
   /// Binds self's UDP port (nonblocking) and initializes the backend
   /// (io_uring setup for UringEnv). Must succeed before start().
   bool open(std::string* error = nullptr);
-
-  /// Registers a protocol (before start()).
-  void add_protocol(std::unique_ptr<Protocol> proto);
-
-  template <class P, class... Args>
-  P& emplace(Args&&... args) {
-    auto owned = std::make_unique<P>(*this, std::forward<Args>(args)...);
-    P& ref = *owned;
-    add_protocol(std::move(owned));
-    return ref;
-  }
 
   /// Invokes Protocol::start() on every registered protocol.
   void start();
@@ -227,6 +215,7 @@ class DgramEnv : public Env {
   /// Decodes one single-frame datagram and routes it.
   void handle_frame(const std::uint8_t* data, std::size_t len,
                     ExternalToken from_token);
+  /// Env::dispatch, counting "net.unknown_protocol" drops.
   void deliver(const Message& m);
 
   /// Pre-registered per-peer counter cells (bind-time registration,
@@ -263,10 +252,7 @@ class DgramEnv : public Env {
   std::uint64_t wire_seq_{0};  ///< causal send sequence (0 = none issued)
   bool stopping_{false};
 
-  std::vector<std::unique_ptr<Protocol>> owned_;
-  std::unordered_map<ProtocolId, Protocol*> by_id_;
   ExternalHandler external_;
-  bool started_{false};
 };
 
 /// Packs an IPv4 address + UDP port (both host byte order) into the

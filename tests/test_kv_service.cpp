@@ -304,6 +304,25 @@ TEST(KvService, LeaderKeepsServingAfterHostileAndMaximalSnapshotChunks) {
   EXPECT_EQ(reply_with_tag(*c, 0, 3)->results[0].value, "v");
 }
 
+TEST(KvService, PeerSentClientRequestIsIgnored) {
+  // Clients reach the service through handle_request() only. A request
+  // frame from a peer process is ignored like any other unknown type: no
+  // reply, no request counted, no decode of its body.
+  auto c = make_cluster(3, 8);
+  obs::MetricsRegistry metrics;
+  c->services[0]->bind_metrics(&metrics);
+  c->sys->start();
+  c->sys->run_until(msec(600));
+  c->sys->host(1).send(
+      0, Message::make<Request>(protocol_ids::kKvService, kMsgClientRequest,
+                                "kv.request", write_req(1, 1, "k", "v")));
+  c->sys->run_until(sec(2));
+  EXPECT_EQ(c->sys->counters().get("msg.kv.request.sent"), 1);
+  EXPECT_EQ(metrics.get("kv.requests"), 0);
+  EXPECT_TRUE(c->replies.empty());
+  EXPECT_EQ(c->sys->counters().get("msg.kv.reply.sent"), 0);
+}
+
 TEST(KvService, IdleClusterConsumesNoSlots) {
   auto c = make_cluster(3, 6);
   c->sys->start();

@@ -61,6 +61,19 @@ TEST(Network, SelfSendDelivered) {
   EXPECT_EQ(pp[0]->pongs, 1);
 }
 
+TEST(Network, ProtocolTableFindsIdsAndDropsUnknownOnes) {
+  System sys(2, 1);
+  auto pp = install_pingpong(sys);
+  EXPECT_EQ(sys.host(1).protocol(protocol_ids::kTesting), pp[1]);
+  EXPECT_EQ(sys.host(1).protocol(protocol_ids::kTesting + 1), nullptr);
+  sys.start();
+  sys.host(0).send(
+      1, Message::make_empty(protocol_ids::kTesting + 1, 1, "test.stray"));
+  sys.run_until(sec(1));
+  EXPECT_EQ(sys.counters().get("msg.test.stray.sent"), 1);
+  EXPECT_EQ(pp[1]->pings, 0);
+}
+
 TEST(Network, CountsSentByLabel) {
   System sys(2, 1);
   auto pp = install_pingpong(sys);

@@ -31,13 +31,16 @@ void sleep_ms(int ms) {
 /// Crashes the initial leader mid-run and requires every surviving host to
 /// converge on one replacement leader, with the property monitor watching.
 void leader_crash_converges(int n) {
+  // Violation reports carry recent host events. The recorder outlives the
+  // system, whose workers push into it until they join.
+  obs::Recorder rec(8);
   ThreadSystem::Config cfg;
   cfg.n = n;
   cfg.seed = 20260806;
   cfg.min_delay = usec(50);
   cfg.max_delay = msec(2);
-  cfg.trace_depth = 8;  // violation reports carry recent host events
   ThreadSystem sys(cfg);
+  sys.attach_recorder(&rec);
 
   std::vector<fd::StableLeader*> leaders;
   leaders.reserve(static_cast<std::size_t>(n));
@@ -97,6 +100,37 @@ void leader_crash_converges(int n) {
 TEST(RuntimeScale, LeaderCrashConvergesN64) { leader_crash_converges(64); }
 
 TEST(RuntimeScale, LeaderCrashConvergesN256) { leader_crash_converges(256); }
+
+// A host busy past a sample's timeout answers late. Its reply must land in
+// state the reply itself keeps alive, not in a monitor that is gone by
+// then (ASan reports the use-after-free otherwise).
+TEST(RuntimeScale, LateSampleReplyOutlivesTheMonitor) {
+  ThreadSystem::Config cfg;
+  cfg.n = 2;
+  cfg.workers = 1;
+  ThreadSystem sys(cfg);
+  std::vector<fd::StableLeader*> leaders;
+  for (ProcessId p = 0; p < cfg.n; ++p) {
+    leaders.push_back(&sys.host(p).emplace<fd::StableLeader>());
+  }
+  check::FdPropertyMonitor::Config mc;
+  mc.n = cfg.n;
+  mc.correct = ProcessSet::full(cfg.n);
+  auto mon = std::make_unique<check::ThreadedFdMonitor>(sys, mc);
+  for (ProcessId p = 0; p < cfg.n; ++p) {
+    mon->attach(p, nullptr, leaders[static_cast<std::size_t>(p)]);
+  }
+  sys.start();
+  std::atomic<bool> busy_done{false};
+  sys.host(0).post([&busy_done] {
+    sleep_ms(200);
+    busy_done = true;
+  });
+  mon->sample(msec(1));  // times out: the only worker is asleep
+  mon.reset();
+  while (!busy_done.load()) sleep_ms(10);
+  sleep_ms(100);  // the late replies run now
+}
 
 // Construction/teardown at n=1024 — the configuration the old
 // thread-per-process design could not reliably reach — plus a short live

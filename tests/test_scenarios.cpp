@@ -14,7 +14,6 @@
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
 #include "net/system.hpp"
-#include "runtime/thread_env.hpp"
 
 namespace ecfd {
 namespace {
@@ -253,25 +252,6 @@ TEST(Skew, DriftingClockFiresTimersEarly) {
   ASSERT_NE(fired_at, kTimeNever);
   EXPECT_LT(fired_at, msec(95));
   EXPECT_GE(fired_at, msec(85));
-}
-
-TEST(Skew, ThreadHostHonoursTheSameEnvelope) {
-  runtime::ThreadSystem::Config cfg;
-  cfg.n = 2;
-  cfg.seed = 5;
-  runtime::ThreadSystem sys(cfg);
-  sys.host(1).set_clock_skew(msec(8), 50'000, msec(10));
-  sys.host(1).set_gray(2000, 0);
-  EXPECT_TRUE(sys.host(1).gray());
-  sys.start();
-  // Offset applies immediately; the clamp caps the drifted error at 10 ms
-  // no matter how long we wait.
-  const std::int64_t err = sys.host(1).clock_error();
-  EXPECT_GE(err, msec(8));
-  EXPECT_LE(err, msec(10));
-  EXPECT_GE(sys.host(1).now(), sys.now());
-  sys.host(1).clear_clock_skew();
-  EXPECT_EQ(sys.host(1).clock_error(), 0);
 }
 
 // --- fuzz profile determinism --------------------------------------------

@@ -245,6 +245,29 @@ TEST(SocketTransport, MisaddressedAndCorruptDatagramsAreCountedNotDelivered) {
   EXPECT_EQ(a.counters().get("net.misaddressed"), 1);
 }
 
+TEST(SocketTransport, FramesForUnregisteredProtocolsAreCountedNotDelivered) {
+  const auto peers = loopback_peers(2, 21240);
+  SocketEnv a(options(0, peers));
+  SocketEnv b(options(1, peers));
+  std::string error;
+  ASSERT_TRUE(a.open(&error)) << error;
+  ASSERT_TRUE(b.open(&error)) << error;
+  auto& ea = a.emplace<Echo>();
+  auto& eb = b.emplace<Echo>();
+  EXPECT_EQ(a.protocol(protocol_ids::kTesting), &ea);
+  EXPECT_EQ(a.protocol(protocol_ids::kTesting + 1), nullptr);
+  a.start();
+  b.start();
+
+  // One envelope: a frame for an id node 0 never registered, then a ping.
+  b.send(0, Message::make_empty(protocol_ids::kTesting + 1, 1, "t.stray"));
+  eb.ping(0);
+  b.run_for(msec(20));
+  a.run_until([&] { return ea.pings.load() >= 1; }, sec(5));
+  EXPECT_EQ(ea.pings.load(), 1);
+  EXPECT_EQ(a.counters().get("net.unknown_protocol"), 1);
+}
+
 // --- DgramEnv timers (sim::EventQueue under the wall clock) -------------
 
 /// A one-node env on an ephemeral loopback port: enough to drive timers.

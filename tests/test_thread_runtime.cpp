@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
 #include <thread>
 
@@ -188,8 +189,7 @@ TEST(ThreadRuntime, ConsensusOnRealThreads) {
 
 // Regression for the old runtime's cancel_timer leak: cancelling an
 // already-fired timer used to insert a tombstone that nothing ever erased.
-// A busy arm/fire/cancel cycle must end with zero pending timers and zero
-// bookkeeping records.
+// A busy arm/fire/cancel cycle must end with zero pending timers.
 TEST(ThreadRuntime, TimerBookkeepingDrainsAfterQuiescence) {
   ThreadSystem::Config cfg;
   cfg.n = 1;
@@ -197,72 +197,91 @@ TEST(ThreadRuntime, TimerBookkeepingDrainsAfterQuiescence) {
   ThreadSystem sys(cfg);
   sys.host(0).emplace<Counter>();
   sys.start();
-  std::mutex mu;
-  std::vector<TimerId> ids;
+  std::vector<TimerId> ids;  // only touched on the host's worker
   std::atomic<int> fired{0};
   sys.host(0).post([&]() {
     for (int i = 0; i < 50; ++i) {
-      TimerId id =
-          sys.host(0).set_timer(msec(1 + i % 5), [&fired]() { ++fired; });
-      std::lock_guard<std::mutex> lock(mu);
-      ids.push_back(id);
+      ids.push_back(
+          sys.host(0).set_timer(msec(1 + i % 5), [&fired]() { ++fired; }));
     }
     for (int i = 0; i < 50; ++i) {
       TimerId id = sys.host(0).set_timer(msec(40), []() {});
-      sys.host(0).cancel_timer(id);  // cancel before fire, on owner
+      sys.host(0).cancel_timer(id);  // cancel before fire
     }
   });
   ASSERT_TRUE(eventually(5000, [&] { return fired.load() == 50; }));
-  {
-    // Cancel every already-fired timer from a foreign thread — the exact
-    // sequence that used to leak one record per call, forever.
-    std::lock_guard<std::mutex> lock(mu);
+  // Cancel every already-fired timer, twice — the exact sequence that used
+  // to leak one record per call, forever. Timer calls belong to the
+  // host's worker, so the cancels are posted there.
+  std::atomic<bool> cancelled{false};
+  sys.host(0).post([&]() {
     for (TimerId id : ids) sys.host(0).cancel_timer(id);
-    for (TimerId id : ids) sys.host(0).cancel_timer(id);  // and twice
-  }
+    for (TimerId id : ids) sys.host(0).cancel_timer(id);
+    cancelled = true;
+  });
+  ASSERT_TRUE(eventually(3000, [&] { return cancelled.load(); }));
   EXPECT_TRUE(eventually(3000, [&] {
-    return sys.host(0).pending_timers() == 0 &&
-           sys.host(0).bookkeeping_records() == 0;
-  })) << "pending=" << sys.host(0).pending_timers()
-      << " bookkeeping=" << sys.host(0).bookkeeping_records();
+    return sys.host(0).pending_timers() == 0;
+  })) << "pending=" << sys.host(0).pending_timers();
 }
 
-// set_timer/cancel_timer from a non-worker thread (how tests and monitors
-// drive hosts) must fire/cancel correctly and leave no indirection records.
-TEST(ThreadRuntime, ForeignThreadTimersFireAndCancel) {
+// Timers belong to the host's worker: arming or cancelling one from any
+// other thread once the system runs is a contract violation, caught by
+// an assert (so only where asserts are compiled in). Sends are checked
+// against the universe like on the other Envs.
+TEST(ThreadRuntimeDeathTest, TimerCallsOffTheWorkerAbort) {
+#if defined(NDEBUG)
+  GTEST_SKIP() << "the contract is an assert, compiled out here";
+#else
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const auto run = [](const std::function<void(ThreadHost&)>& call) {
+    ThreadSystem::Config cfg;
+    cfg.n = 2;
+    ThreadSystem sys(cfg);
+    sys.host(0).emplace<Counter>();
+    sys.start();
+    call(sys.host(0));
+  };
+  EXPECT_DEATH(run([](ThreadHost& h) { h.set_timer(msec(1), [] {}); }),
+               "ThreadHost::set_timer must run on the host's worker");
+  EXPECT_DEATH(run([](ThreadHost& h) { h.cancel_timer(1); }),
+               "ThreadHost::cancel_timer must run on the host's worker");
+  EXPECT_DEATH(run([](ThreadHost& h) {
+                 h.send(2, Message::make_empty(protocol_ids::kTesting, 1,
+                                               "t.msg"));
+               }),
+               "dst < n_");
+#endif
+}
+
+// The protocol table is Env's: lookup by id finds what was registered, and
+// a message for an id nobody registered is dropped on arrival.
+TEST(ThreadRuntime, ProtocolTableFindsIdsAndDropsUnknownOnes) {
   ThreadSystem::Config cfg;
   cfg.n = 2;
-  cfg.seed = 13;
   ThreadSystem sys(cfg);
-  sys.host(0).emplace<Counter>();
-  sys.host(1).emplace<Counter>();
+  std::vector<Counter*> cs;
+  for (ProcessId p = 0; p < 2; ++p) cs.push_back(&sys.host(p).emplace<Counter>());
+  EXPECT_EQ(sys.host(1).protocol(protocol_ids::kTesting), cs[1]);
+  EXPECT_EQ(sys.host(1).protocol(protocol_ids::kTesting + 1), nullptr);
   sys.start();
-  std::atomic<bool> fired{false};
-  std::atomic<bool> fired_after_cancel{false};
-  TimerId a = sys.host(0).set_timer(msec(30), [&fired]() { fired = true; });
-  EXPECT_NE(a, kInvalidTimer);
-  TimerId b = sys.host(1).set_timer(
-      msec(150), [&fired_after_cancel]() { fired_after_cancel = true; });
-  sys.host(1).cancel_timer(b);
-  EXPECT_TRUE(eventually(3000, [&] { return fired.load(); }));
-  sleep_ms(250);
-  EXPECT_FALSE(fired_after_cancel.load());
-  EXPECT_TRUE(eventually(3000, [&] {
-    return sys.host(0).bookkeeping_records() == 0 &&
-           sys.host(1).bookkeeping_records() == 0 &&
-           sys.host(0).pending_timers() == 0 &&
-           sys.host(1).pending_timers() == 0;
-  }));
+  sys.host(0).send(
+      1, Message::make_empty(protocol_ids::kTesting + 1, 1, "t.stray"));
+  cs[0]->send_to(1);
+  ASSERT_TRUE(eventually(3000, [&] { return cs[1]->received.load() >= 1; }));
+  sleep_ms(100);  // well past max_delay: the stray has arrived by now
+  EXPECT_EQ(cs[1]->received.load(), 1);
 }
 
 TEST(ThreadRuntime, TraceRingKeepsLastEvents) {
 #if defined(ECFD_OBS_DISABLED)
   GTEST_SKIP() << "trace() lands in the obs recorder, compiled out here";
 #endif
+  obs::Recorder rec(4);  // outlives sys, whose workers push into it
   ThreadSystem::Config cfg;
   cfg.n = 1;
-  cfg.trace_depth = 4;
   ThreadSystem sys(cfg);
+  sys.attach_recorder(&rec);
   sys.host(0).emplace<Counter>();
   sys.start();
   std::atomic<bool> done{false};
