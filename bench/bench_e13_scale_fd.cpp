@@ -137,19 +137,6 @@ const SuspectOracle* install(Stack s, Env& host, DurUs period) {
 
 // --- section 1: message cost on the deterministic simulator -------------
 
-std::int64_t sent_with_prefix(const sim::Counters& counters,
-                              const char* prefix) {
-  const std::string pre(prefix);
-  std::int64_t total = 0;
-  for (const auto& [key, value] : counters.all()) {
-    if (key.rfind(pre, 0) == 0 && key.size() > 5 &&
-        key.compare(key.size() - 5, 5, ".sent") == 0) {
-      total += value;
-    }
-  }
-  return total;
-}
-
 struct MsgCost {
   double per_node_per_period{0};
   double per_node_per_sec{0};
@@ -166,9 +153,9 @@ MsgCost run_msg_cost(Stack s, int n, int warm_periods, int window_periods) {
   for (ProcessId p = 0; p < n; ++p) install(s, sys->host(p), period);
   sys->start();
   sys->run_for(warm_periods * period);
-  const std::int64_t before = sent_with_prefix(sys->counters(), stack_prefix(s));
+  const std::int64_t before = sum_sent(sys->metrics(), stack_prefix(s));
   sys->run_for(window_periods * period);
-  const std::int64_t after = sent_with_prefix(sys->counters(), stack_prefix(s));
+  const std::int64_t after = sum_sent(sys->metrics(), stack_prefix(s));
   MsgCost r;
   r.total = after - before;
   r.per_node_per_period = static_cast<double>(r.total) / n / window_periods;

@@ -454,7 +454,7 @@ FuzzOutcome run_fuzz_case(const FuzzCaseConfig& cfg,
   out.ok = out.violations.empty();
   out.every_correct_decided = r.every_correct_decided;
   out.sim_end = r.sim_end;
-  out.counters = r.counters;
+  out.metrics = r.metrics;
   out.result_fingerprint = runner::fingerprint_result(r);
   out.digest =
       fuzz_digest(cfg, schedule, out.verdicts, out.result_fingerprint);

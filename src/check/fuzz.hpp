@@ -147,7 +147,8 @@ struct FuzzOutcome {
   std::vector<Verdict> violations;   ///< required-and-failing subset
   bool every_correct_decided{false};
   TimeUs sim_end{0};
-  sim::Counters counters;            ///< simulator counter registry at end
+  /// The run's own counter registry (HarnessResult::metrics).
+  std::shared_ptr<obs::MetricsRegistry> metrics;
   std::uint64_t result_fingerprint{0};  ///< fingerprint_result (0 for mutants)
   std::uint64_t digest{0};  ///< config + schedule + verdicts + fingerprint
   /// Monitor-witnessed detection ground truth (crash first seen + first

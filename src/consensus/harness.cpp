@@ -14,19 +14,6 @@ namespace ecfd::consensus {
 
 namespace {
 
-/// Sum of ".sent" counters whose key starts with \p prefix.
-std::int64_t sum_sent(const sim::Counters& counters,
-                      const std::string& prefix) {
-  std::int64_t total = 0;
-  for (const auto& [key, value] : counters.all()) {
-    if (key.rfind(prefix, 0) == 0 && key.size() > 5 &&
-        key.compare(key.size() - 5, 5, ".sent") == 0) {
-      total += value;
-    }
-  }
-  return total;
-}
-
 ProcessSet planned_correct(const ScenarioConfig& sc) {
   ProcessSet correct = ProcessSet::full(sc.n);
   for (const CrashPlan& c : sc.crashes) correct.remove(c.process);
@@ -178,9 +165,9 @@ HarnessResult run_consensus(const HarnessConfig& cfg) {
 
   r.events_fired = sys->scheduler().fired();
   r.sim_end = sys->now();
-  r.counters = sys->counters();
+  r.metrics = sys->share_metrics();
 
-  const auto& counters = sys->counters();
+  const auto& counters = *r.metrics;
   r.consensus_msgs =
       sum_sent(counters, "msg.cons_c.") + sum_sent(counters, "msg.ct.");
   r.rb_msgs = sum_sent(counters, "msg.rb.");

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -121,7 +122,8 @@ struct HarnessResult {
   /// Simulator accounting, for throughput reporting and run fingerprints.
   std::uint64_t events_fired{0};  ///< scheduler events executed
   TimeUs sim_end{0};              ///< virtual time when the run stopped
-  sim::Counters counters;         ///< full counter registry at end of run
+  /// The run's own counter registry (System::metrics()), at end of run.
+  std::shared_ptr<obs::MetricsRegistry> metrics;
 };
 
 /// Runs one configured consensus experiment.

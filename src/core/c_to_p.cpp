@@ -80,6 +80,11 @@ void CToP::leader_tick() {
 }
 
 void CToP::on_message(const Message& m) {
+  // A list over another universe comes from a forged or corrupt frame;
+  // adopting it would break every set operation on the output.
+  if (m.type == kList && m.as<ProcessSet>().universe_size() != env_.n()) {
+    return;
+  }
   // Any message of ours, an I-AM-ALIVE or a list, shows its sender alive.
   const auto i = static_cast<std::size_t>(m.src);
   last_alive_[i] = env_.now();

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <atomic>
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <typeinfo>
+#include <unordered_map>
 #include <utility>
 
 #include "net/payload_pool.hpp"
@@ -18,6 +21,10 @@
 /// broadcast of one body to n-1 destinations costs one allocation.
 
 namespace ecfd {
+
+namespace obs {
+class MetricsRegistry;
+}
 
 /// Identifies a protocol instance across all hosts; see protocol_ids.hpp.
 using ProtocolId = int;
@@ -71,9 +78,60 @@ struct Message {
   [[nodiscard]] bool has_payload() const { return payload != nullptr; }
 };
 
-/// Counter key for a message: "msg.<label>" with a numeric fallback when a
-/// protocol did not label its messages. Shared by the simulated network and
-/// the socket transport so experiment accounting aggregates identically.
+/// Counter key for a message: "msg.<label>", or "msg.proto<P>.type<T>"
+/// when a protocol did not label it.
 std::string message_counter_key(const Message& m);
+
+/// Per-label message accounting, the one counting path of the simulated
+/// Network and the UDP DgramEnv, so both runtimes count alike:
+/// "msg.<label>.sent" counts every send and "msg.<label>.dropped" the lost
+/// subset, created at the first drop (a run without loss has no zero-valued
+/// key, and the digests hash the key set).
+///
+/// A counter is registered on its first message and bumped directly after
+/// that, found by the label's address (labels are string literals or
+/// interned by the codec, so the address is stable), or by (protocol, type)
+/// for an unlabeled message. One thread counts (the simulator, or the
+/// DgramEnv's event loop).
+class MessageCounters {
+ public:
+  explicit MessageCounters(obs::MetricsRegistry& metrics)
+      : metrics_(metrics) {}
+
+  /// Counts one send of \p m.
+  void sent(const Message& m) {
+    cell(m, false).fetch_add(1, std::memory_order_relaxed);
+  }
+  /// Counts one send of \p m, already counted by sent(), as lost.
+  void dropped(const Message& m) {
+    cell(m, true).fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  struct Key {
+    const char* label;
+    std::uint64_t protocol_type;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      return std::hash<const char*>{}(k.label) ^ k.protocol_type;
+    }
+  };
+  struct Cells {
+    std::atomic<std::int64_t>* sent{nullptr};
+    std::atomic<std::int64_t>* dropped{nullptr};
+  };
+
+  std::atomic<std::int64_t>& cell(const Message& m, bool lost);
+
+  obs::MetricsRegistry& metrics_;
+  std::unordered_map<Key, Cells, KeyHash> cells_;
+};
+
+/// Sum of the "msg.<label>.sent" counters whose name starts with \p prefix:
+/// the messages one protocol family sent ("msg.rb." for reliable broadcast).
+std::int64_t sum_sent(const obs::MetricsRegistry& metrics,
+                      const std::string& prefix);
 
 }  // namespace ecfd

@@ -1,16 +1,15 @@
 #include "net/network.hpp"
 
 #include <cassert>
-#include <string>
 
 namespace ecfd {
 
 Network::Network(sim::Scheduler& sched, int n, Rng rng,
-                 sim::Counters& counters)
+                 obs::MetricsRegistry& metrics)
     : sched_(sched),
       n_(n),
       rng_(rng),
-      counters_(counters),
+      counters_(metrics),
       links_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
       blocked_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0) {
   assert(n > 0);
@@ -53,30 +52,11 @@ void Network::heal() {
   for (auto& b : blocked_) b = 0;
 }
 
-Network::LabelCells& Network::cells_for(const Message& m) {
-  // Keyed by label pointer identity; see the declaration for why the empty
-  // label is excluded (handled by the caller).
-  auto [it, inserted] = label_cells_.try_emplace(m.label);
-  if (inserted) {
-    // The ".dropped" cell stays null until the first drop: creating the
-    // counter eagerly would materialize zero-valued keys that the seed
-    // behavior (and the determinism fingerprints) never had.
-    it->second.sent = counters_.slot(message_counter_key(m) + ".sent");
-  }
-  return it->second;
-}
-
 void Network::send(const Message& m) {
   assert(m.src >= 0 && m.src < n_ && m.dst >= 0 && m.dst < n_);
   assert(sink_ && "Network sink not installed");
   ++sent_total_;
-  const bool interned = m.label != nullptr && m.label[0] != '\0';
-  LabelCells* cells = interned ? &cells_for(m) : nullptr;
-  if (interned) {
-    ++*cells->sent;
-  } else {
-    counters_.add(message_counter_key(m) + ".sent");
-  }
+  counters_.sent(m);
 
   std::optional<DurUs> delay;
   if (m.src == m.dst) {
@@ -115,14 +95,7 @@ void Network::send(const Message& m) {
                                   m.protocol);
     }
 #endif
-    if (interned) {
-      if (cells->dropped == nullptr) {
-        cells->dropped = counters_.slot(message_counter_key(m) + ".dropped");
-      }
-      ++*cells->dropped;
-    } else {
-      counters_.add(message_counter_key(m) + ".dropped");
-    }
+    counters_.dropped(m);
     return;
   }
 

@@ -2,14 +2,12 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
 #include "net/message.hpp"
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 
 /// \file network.hpp
 /// The simulated message-passing fabric: n processes, one LinkModel per
@@ -23,7 +21,8 @@ class Network {
  public:
   using DeliverySink = std::function<void(const Message&)>;
 
-  Network(sim::Scheduler& sched, int n, Rng rng, sim::Counters& counters);
+  /// Counts every message into \p metrics (see MessageCounters).
+  Network(sim::Scheduler& sched, int n, Rng rng, obs::MetricsRegistry& metrics);
 
   [[nodiscard]] int n() const { return n_; }
 
@@ -87,21 +86,10 @@ class Network {
            static_cast<std::size_t>(dst);
   }
 
-  /// Interned per-label counter cells: the ".sent"/".dropped" key strings
-  /// are built once per distinct label, then every send bumps raw int64
-  /// pointers. Keyed by the label's address — labels are string literals
-  /// with stable identity. The empty label (numeric proto/type fallback
-  /// key) takes the slow path since distinct messages can share it.
-  struct LabelCells {
-    std::int64_t* sent{nullptr};
-    std::int64_t* dropped{nullptr};
-  };
-  LabelCells& cells_for(const Message& m);
-
   sim::Scheduler& sched_;
   int n_;
   Rng rng_;
-  sim::Counters& counters_;
+  MessageCounters counters_;
   obs::Recorder* recorder_{nullptr};
   DeliverySink sink_;
   std::vector<std::unique_ptr<LinkModel>> links_;
@@ -111,7 +99,6 @@ class Network {
   std::int64_t sent_total_{0};
   std::int64_t delivered_total_{0};
   std::int64_t dropped_total_{0};
-  std::unordered_map<const char*, LabelCells> label_cells_;
 };
 
 }  // namespace ecfd

@@ -6,8 +6,9 @@ namespace ecfd {
 
 System::System(int n, std::uint64_t seed)
     : n_(n),
+      metrics_(std::make_shared<obs::MetricsRegistry>()),
       master_rng_(seed),
-      network_(sched_, n, master_rng_.split(), counters_) {
+      network_(sched_, n, master_rng_.split(), *metrics_) {
   assert(n > 0);
   hosts_.reserve(static_cast<std::size_t>(n));
   for (ProcessId p = 0; p < n; ++p) {

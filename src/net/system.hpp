@@ -6,9 +6,9 @@
 
 #include "net/network.hpp"
 #include "net/process_host.hpp"
+#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 
 /// \file system.hpp
 /// The top-level simulation harness: scheduler + network + n process hosts
@@ -25,7 +25,13 @@ class System {
 
   sim::Scheduler& scheduler() { return sched_; }
   Network& network() { return network_; }
-  sim::Counters& counters() { return counters_; }
+
+  /// The run's counters: "msg.<label>.sent/.dropped" from the network.
+  /// share_metrics() lets a run's result keep them past the System.
+  obs::MetricsRegistry& metrics() { return *metrics_; }
+  [[nodiscard]] std::shared_ptr<obs::MetricsRegistry> share_metrics() const {
+    return metrics_;
+  }
 
   /// Attaches a typed event recorder: binds one ring per host (and stamps
   /// the recorder's meta as a virtual-clock "sim" source). Call before
@@ -81,7 +87,7 @@ class System {
  private:
   int n_;
   sim::Scheduler sched_;
-  sim::Counters counters_;
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
   Rng master_rng_;
   Network network_;
   std::vector<std::unique_ptr<ProcessHost>> hosts_;

@@ -35,23 +35,6 @@ std::int64_t MetricsRegistry::gauge_value(const std::string& name) const {
                              : it->second.load(std::memory_order_relaxed);
 }
 
-std::int64_t MetricsRegistry::sum_prefix(const std::string& prefix) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::int64_t total = 0;
-  for (auto it = counters_.lower_bound(prefix); it != counters_.end(); ++it) {
-    if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    total += it->second.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void MetricsRegistry::import_counters(const sim::Counters& src,
-                                      const std::string& prefix) {
-  for (const auto& [key, value] : src.all()) {
-    counter(prefix + key)->store(value, std::memory_order_relaxed);
-  }
-}
-
 void MetricsRegistry::write_json(std::ostream& os,
                                  const std::string& source) const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -9,24 +9,23 @@
 #include <string>
 #include <vector>
 
-#include "sim/stats.hpp"
-
 /// \file metrics.hpp
-/// The unified metrics registry: named counters, gauges, and log-bucketed
-/// latency histograms shared by every backend and tool.
+/// The metrics registry: named counters, gauges, and log-bucketed latency
+/// histograms, and the one counter store of the project. The simulator's
+/// System counts its messages into one (every digest hashes those
+/// counters), each UDP DgramEnv keeps one, and every tool exports one as
+/// `ecfd.metrics.v1` JSON; ecfd_node also serves its registry over a
+/// loopback HTTP endpoint. The sharded threaded runtime has none: it
+/// keeps a single routed-message atomic.
 ///
-/// This absorbs the previously per-backend accounting (SocketEnv's
-/// hand-rolled traffic/batching counters, the runtime's ad-hoc totals) into
-/// one store with one export format, `ecfd.metrics.v1` JSON, plus a plain
-/// text exposition for the ecfd_node daemon's metrics endpoint.
-///
-/// Hot-path discipline mirrors sim::Counters::slot(): register once, keep
-/// the returned cell pointer, bump it directly. Cells are std::atomic so
-/// multi-threaded backends (the sharded runtime) can share a registry;
-/// relaxed increments cost the same as a plain add on x86/ARM when
-/// uncontended. Registration takes a mutex and may allocate — bind time
-/// only. Cell pointers stay valid for the registry's lifetime (map nodes
-/// do not move).
+/// Hot-path discipline: register once, keep the returned cell pointer,
+/// bump it directly. Cells are std::atomic so that another thread (the
+/// HTTP exporter, the crash flight recorder) can read them while the one
+/// thread that owns the registry writes. A relaxed fetch_add is not a
+/// plain add: on x86 it is a lock-prefixed read-modify-write. Registration
+/// takes a mutex and may allocate — bind time, or once per new name. Cell
+/// pointers stay valid for the registry's lifetime (map nodes do not
+/// move).
 
 namespace ecfd::obs {
 
@@ -112,14 +111,15 @@ class MetricsRegistry {
   [[nodiscard]] std::int64_t get(const std::string& name) const;
   [[nodiscard]] std::int64_t gauge_value(const std::string& name) const;
 
-  /// Sum of counters whose name starts with \p prefix (parity with
-  /// sim::Counters::sum_prefix).
-  [[nodiscard]] std::int64_t sum_prefix(const std::string& prefix) const;
-
-  /// Copies every counter of \p src into this registry (names prefixed
-  /// with \p prefix), so single-threaded sim::Counters accounting exports
-  /// through the same ecfd.metrics.v1 document.
-  void import_counters(const sim::Counters& src, const std::string& prefix = "");
+  /// Calls \p fn(name, value) for every counter, in name order, under the
+  /// registry mutex (so \p fn must not call back into the registry).
+  template <class Fn>
+  void for_each_counter(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, cell] : counters_) {
+      fn(name, cell.load(std::memory_order_relaxed));
+    }
+  }
 
   /// Writes the registry as an ecfd.metrics.v1 JSON document. Keys are
   /// sorted: same contents => byte-identical bytes.

@@ -2,12 +2,12 @@
 
 namespace ecfd::runner {
 
-std::uint64_t fingerprint_counters(const sim::Counters& counters) {
+std::uint64_t fingerprint_counters(const obs::MetricsRegistry& counters) {
   Fnv1a h;
-  for (const auto& [key, value] : counters.all()) {
+  counters.for_each_counter([&h](const std::string& key, std::int64_t value) {
     h.str(key);
     h.i64(value);
-  }
+  });
   return h.value();
 }
 
@@ -32,7 +32,7 @@ std::uint64_t fingerprint_result(const consensus::HarnessResult& r) {
   h.i64(r.max_round_entered);
   h.u64(r.events_fired);
   h.i64(r.sim_end);
-  h.u64(fingerprint_counters(r.counters));
+  h.u64(fingerprint_counters(*r.metrics));
   return h.value();
 }
 

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "consensus/harness.hpp"
-#include "sim/stats.hpp"
+#include "obs/metrics.hpp"
 
 /// \file fingerprint.hpp
 /// Order-sensitive digests of simulation runs.
@@ -41,7 +41,7 @@ class Fnv1a {
 };
 
 /// Digest of every counter, key and value, in sorted-key order.
-std::uint64_t fingerprint_counters(const sim::Counters& counters);
+std::uint64_t fingerprint_counters(const obs::MetricsRegistry& counters);
 
 /// Digest of a consensus harness result (outcomes, rounds, times, message
 /// totals, counters, events fired).

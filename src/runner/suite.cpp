@@ -58,7 +58,7 @@ CaseMetrics run_detection_case(int n, std::uint64_t seed,
   h.u64(m.events);
   h.i64(m.msgs);
   h.i64(sys->now());
-  h.u64(fingerprint_counters(sys->counters()));
+  h.u64(fingerprint_counters(sys->metrics()));
   m.hash = h.value();
   return m;
 }

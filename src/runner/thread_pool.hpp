@@ -12,7 +12,7 @@
 /// simulations across cores.
 ///
 /// Each simulation is completely self-contained (its own Scheduler, Network,
-/// Rng, Counters), so the only shared state between workers is the task
+/// Rng, metrics registry), so the only shared state between workers is the task
 /// queue itself; results land in caller-owned slots indexed by task, which
 /// makes the parallel output byte-identical to a sequential run regardless
 /// of completion order.

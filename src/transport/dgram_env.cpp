@@ -50,8 +50,8 @@ DgramEnv::DgramEnv(Options opts)
       coalescer_(static_cast<int>(opts_.peers.size()), opts_.coalesce) {
   assert(!opts_.peers.empty());
   assert(opts_.self >= 0 && opts_.self < n());
-  // Register-once, bump-direct: the wire paths below never build counter
-  // name strings.
+  // Register-once, bump-direct: the per-frame paths below never build a
+  // counter name (msg_counters_ interns each label at its first message).
   peer_cells_.resize(static_cast<std::size_t>(n()));
   for (ProcessId p = 0; p < n(); ++p) {
     const std::string suffix = ".p" + std::to_string(p);
@@ -164,6 +164,7 @@ void DgramEnv::send(ProcessId dst, Message m) {
   m.src = opts_.self;
   m.dst = dst;
   record(EventType::kSend, dst, m.protocol);
+  msg_counters_.sent(m);
 
   if (dst == opts_.self) {
     // Self-sends never touch the wire (mirrors the other backends'
@@ -172,7 +173,6 @@ void DgramEnv::send(ProcessId dst, Message m) {
     return;
   }
 
-  const std::string key = message_counter_key(m);
   // While a recorder is attached, every outgoing frame carries a per-sender
   // causal sequence number (wire flag kFlagCausalSeq), and the matching
   // kWireSend event lets ecfd_trace stitch true happens-before send->deliver
@@ -181,18 +181,18 @@ void DgramEnv::send(ProcessId dst, Message m) {
   std::vector<std::uint8_t> frame;
   std::string error;
   if (!wire::encode_message(m, &frame, &error, causal_seq)) {
+    msg_counters_.dropped(m);
     metrics_.add("net.encode_error");
-    trace("net.encode_error", key + ": " + error);
+    trace("net.encode_error", message_counter_key(m) + ": " + error);
     return;
   }
 
   // Injected chaos: drop, or hold the encoded frame back for a while.
   if (opts_.loss > 0.0 && rng_.chance(opts_.loss)) {
-    metrics_.add(key + ".dropped");
+    msg_counters_.dropped(m);
     record(EventType::kDrop, dst, m.protocol);
     return;
   }
-  metrics_.add(key + ".sent");
   if (causal_seq != 0) {
     record(EventType::kWireSend, dst, static_cast<std::int64_t>(causal_seq));
   }
@@ -231,7 +231,10 @@ void DgramEnv::send_external(ExternalToken token, Message m) {
     trace("net.encode_error", error);
     return;
   }
-  metrics_.add("net.sent_external");
+  if (sent_external_ == nullptr) {
+    sent_external_ = metrics_.counter("net.sent_external");
+  }
+  sent_external_->fetch_add(1, std::memory_order_relaxed);
   const sockaddr_in sa = sockaddr_of(token);
   std::vector<std::uint8_t> addr(sizeof(sa));
   std::memcpy(addr.data(), &sa, sizeof(sa));
@@ -320,7 +323,10 @@ void DgramEnv::handle_frame(const std::uint8_t* data, std::size_t len,
   // client); route it to the external handler with the sender's address
   // token so a reply can find its way back.
   if (decoded->dst == opts_.self && decoded->src < 0 && external_) {
-    metrics_.add("net.recv_external");
+    if (recv_external_ == nullptr) {
+      recv_external_ = metrics_.counter("net.recv_external");
+    }
+    recv_external_->fetch_add(1, std::memory_order_relaxed);
     record(EventType::kDeliver, kNoProcess, decoded->protocol);
     external_(from_token, *decoded);
     return;

@@ -92,9 +92,14 @@ class DgramEnv : public Env {
   /// The backend's short name ("poll" or "uring"), for logs and reports.
   [[nodiscard]] virtual const char* backend_name() const = 0;
 
-  /// Per-peer and per-label traffic accounting on the unified
-  /// obs::MetricsRegistry (same .get() lookups as the old sim::Counters):
-  ///   "msg.<label>.sent/.dropped"   logical messages, by label
+  /// Per-peer and per-label traffic accounting:
+  ///   "msg.<label>.sent/.dropped"   logical messages, by label, counted as
+  ///                                 the simulator counts them
+  ///                                 (MessageCounters): every send, self-
+  ///                                 sends included, and the subset lost to
+  ///                                 injected loss or an encode error
+  ///   "net.sent_external", "net.recv_external"
+  ///                                 frames to and from external clients
   ///   "net.sent.p<dst>"             frames sent to dst (post-coalescing,
   ///                                 an envelope counts its inner frames)
   ///   "net.recv.p<src>"             frames received from src
@@ -110,7 +115,6 @@ class DgramEnv : public Env {
   ///   "net.send_batch"      datagrams per send syscall
   ///   "net.recv_batch"      datagrams per receive pass
   ///   "net.coalesce_frames" frames per sent datagram (the coalescing win)
-  [[nodiscard]] obs::MetricsRegistry& counters() { return metrics_; }
   [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
 
   /// Attaches a typed event recorder; this node's events go to ring(self).
@@ -230,12 +234,17 @@ class DgramEnv : public Env {
 
   Options opts_;
   obs::MetricsRegistry metrics_;
+  MessageCounters msg_counters_{metrics_};
   std::vector<PeerCells> peer_cells_;
   obs::Histogram* send_batch_hist_{nullptr};
   obs::Histogram* recv_batch_hist_{nullptr};
   obs::Histogram* coalesce_hist_{nullptr};
   obs::MetricsRegistry::Cell* envelope_sent_{nullptr};
   obs::MetricsRegistry::Cell* envelope_recv_{nullptr};
+  /// Registered at the first external frame, so a node that never talks
+  /// to a client exports neither name.
+  obs::MetricsRegistry::Cell* sent_external_{nullptr};
+  obs::MetricsRegistry::Cell* recv_external_{nullptr};
   Rng rng_;
   std::chrono::steady_clock::time_point epoch_;
 

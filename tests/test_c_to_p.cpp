@@ -14,6 +14,7 @@
 #include "fd/scripted_fd.hpp"
 #include "fd_test_util.hpp"
 #include "net/link.hpp"
+#include "net/protocol_ids.hpp"
 #include "scenario_util.hpp"
 
 namespace ecfd {
@@ -103,8 +104,8 @@ TEST(CToP, SteadyStateCostIs2NMinus1) {
   }
   sys->start();
   sys->run_until(sec(2));
-  const auto lists = sys->counters().get("msg.ctp.list.sent");
-  const auto alives = sys->counters().get("msg.ctp.alive.sent");
+  const auto lists = sys->metrics().get("msg.ctp.list.sent");
+  const auto alives = sys->metrics().get("msg.ctp.alive.sent");
   core::CToP::Config defaults;
   const double periods = static_cast<double>(sec(2)) / defaults.list_period;
   EXPECT_NEAR(static_cast<double>(lists), periods * (n - 1),
@@ -131,8 +132,8 @@ TEST(CToP, EventuallyOnlyLeaderLinksCarryMessages) {
   // leader), and all alive messages target p2: total = lists(n-1 per
   // period, from p2) + alives(n-1 per period, to p2). Verify no alive
   // message was sent to a non-leader by checking totals match exactly.
-  const auto lists = sys->counters().get("msg.ctp.list.sent");
-  const auto alives = sys->counters().get("msg.ctp.alive.sent");
+  const auto lists = sys->metrics().get("msg.ctp.list.sent");
+  const auto alives = sys->metrics().get("msg.ctp.alive.sent");
   EXPECT_GT(lists, 0);
   EXPECT_NEAR(static_cast<double>(lists), static_cast<double>(alives),
               static_cast<double>(alives) * 0.1);
@@ -178,6 +179,39 @@ TEST(CToP, ActingLeaderFlagTracksTrustedSelf) {
   EXPECT_TRUE(ctps[1]->acting_leader());
   EXPECT_FALSE(ctps[0]->acting_leader());
   EXPECT_FALSE(ctps[2]->acting_leader());
+}
+
+TEST(CToP, ListsOverAnotherUniverseAreIgnored) {
+  // A ctp.list over a universe of 1, sent by the trusted process (a forged
+  // UDP frame can carry one), must leave every output as it was; adopting
+  // it once aborted on ProcessSet::remove's range assert.
+  const int n = 3;
+  auto sys = make_system(base_scenario(n, 8));
+  std::vector<core::CToP*> ctps;
+  for (ProcessId p = 0; p < n; ++p) {
+    std::vector<fd::ScriptedFd::Step> steps;
+    steps.push_back({0, ProcessSet(n), 0});
+    auto& omega = sys->host(p).emplace<fd::ScriptedFd>(steps);
+    ctps.push_back(&sys->host(p).emplace<core::CToP>(&omega));
+  }
+  sys->start();
+  sys->run_until(sec(2));
+  std::vector<ProcessSet> before;
+  for (const core::CToP* c : ctps) before.push_back(c->suspected());
+  ProcessSet forged_list(1);
+  forged_list.add(0);
+  for (ProcessId p = 1; p < n; ++p) {
+    Message forged = Message::make(protocol_ids::kCToP, /*list=*/2,
+                                   "ctp.list", forged_list);
+    forged.src = 0;
+    forged.dst = p;
+    sys->network().send(forged);
+  }
+  sys->run_for(msec(100));  // past the largest link delay
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(ctps[p]->suspected(), before[p]) << "p" << p;
+    EXPECT_EQ(ctps[p]->suspected().universe_size(), n) << "p" << p;
+  }
 }
 
 // --- takeover on the shipped stack ---------------------------------------

@@ -56,7 +56,7 @@ std::uint64_t traced_detection_hash() {
     h.i64(e.b);
     h.i64(e.label);
   }
-  h.u64(runner::fingerprint_counters(sys->counters()));
+  h.u64(runner::fingerprint_counters(sys->metrics()));
   h.u64(sys->scheduler().fired());
   return h.value();
 }

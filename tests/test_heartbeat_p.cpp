@@ -87,7 +87,7 @@ TEST(HeartbeatP, QuadraticMessageCost) {
   for (ProcessId p = 0; p < cfg.n; ++p) sys->host(p).emplace<fd::HeartbeatP>();
   sys->start();
   sys->run_until(sec(2));
-  const auto sent = sys->counters().get("msg.hb_p.alive.sent");
+  const auto sent = sys->metrics().get("msg.hb_p.alive.sent");
   fd::HeartbeatP::Config defaults;
   const double periods = static_cast<double>(sec(2)) / defaults.period;
   const double expected = periods * cfg.n * (cfg.n - 1);

@@ -317,10 +317,10 @@ TEST(KvService, PeerSentClientRequestIsIgnored) {
       0, Message::make<Request>(protocol_ids::kKvService, kMsgClientRequest,
                                 "kv.request", write_req(1, 1, "k", "v")));
   c->sys->run_until(sec(2));
-  EXPECT_EQ(c->sys->counters().get("msg.kv.request.sent"), 1);
+  EXPECT_EQ(c->sys->metrics().get("msg.kv.request.sent"), 1);
   EXPECT_EQ(metrics.get("kv.requests"), 0);
   EXPECT_TRUE(c->replies.empty());
-  EXPECT_EQ(c->sys->counters().get("msg.kv.reply.sent"), 0);
+  EXPECT_EQ(c->sys->metrics().get("msg.kv.reply.sent"), 0);
 }
 
 TEST(KvService, IdleClusterConsumesNoSlots) {

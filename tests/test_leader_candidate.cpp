@@ -59,7 +59,7 @@ TEST(LeaderCandidate, SteadyStateCostIsLinear) {
   sys->run_until(sec(3));
   // Only the leader broadcasts: ~ (n-1) messages per period once stable
   // (allow some startup noise from transient self-candidates).
-  const auto sent = sys->counters().get("msg.lc.leader.sent");
+  const auto sent = sys->metrics().get("msg.lc.leader.sent");
   fd::LeaderCandidate::Config defaults;
   const double periods = static_cast<double>(sec(3)) / defaults.period;
   EXPECT_LT(static_cast<double>(sent), periods * (cfg.n - 1) * 1.5);

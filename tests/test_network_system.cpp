@@ -70,7 +70,7 @@ TEST(Network, ProtocolTableFindsIdsAndDropsUnknownOnes) {
   sys.host(0).send(
       1, Message::make_empty(protocol_ids::kTesting + 1, 1, "test.stray"));
   sys.run_until(sec(1));
-  EXPECT_EQ(sys.counters().get("msg.test.stray.sent"), 1);
+  EXPECT_EQ(sys.metrics().get("msg.test.stray.sent"), 1);
   EXPECT_EQ(pp[1]->pings, 0);
 }
 
@@ -81,8 +81,8 @@ TEST(Network, CountsSentByLabel) {
   pp[0]->ping(1);
   pp[0]->ping(1);
   sys.run_until(sec(1));
-  EXPECT_EQ(sys.counters().get("msg.test.ping.sent"), 2);
-  EXPECT_EQ(sys.counters().get("msg.test.pong.sent"), 2);
+  EXPECT_EQ(sys.metrics().get("msg.test.ping.sent"), 2);
+  EXPECT_EQ(sys.metrics().get("msg.test.pong.sent"), 2);
 }
 
 TEST(Network, BlockedLinkDropsSilently) {

@@ -58,8 +58,8 @@ TEST(RingFd, LinearMessageCost) {
   for (ProcessId p = 0; p < cfg.n; ++p) sys->host(p).emplace<fd::RingFd>();
   sys->start();
   sys->run_until(sec(2));
-  const auto queries = sys->counters().get("msg.ring.query.sent");
-  const auto replies = sys->counters().get("msg.ring.reply.sent");
+  const auto queries = sys->metrics().get("msg.ring.query.sent");
+  const auto replies = sys->metrics().get("msg.ring.reply.sent");
   fd::RingFd::Config defaults;
   const double periods = static_cast<double>(sec(2)) / defaults.period;
   EXPECT_NEAR(static_cast<double>(queries), periods * cfg.n,

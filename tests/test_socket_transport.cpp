@@ -15,6 +15,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "consensus/fd_stacks.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "net/protocol_ids.hpp"
+#include "net/scenario.hpp"
 #include "transport/node_config.hpp"
 #include "wire/codec.hpp"
 
@@ -86,9 +88,9 @@ TEST(SocketTransport, PingPongOverLoopbackUdp) {
 
   EXPECT_TRUE(got_pong);
   EXPECT_GE(eb.pings.load(), 1);
-  EXPECT_EQ(a.counters().get("net.sent.p1"), 1);
-  EXPECT_GE(b.counters().get("net.recv.p0"), 1);
-  EXPECT_EQ(b.counters().get("net.decode_error"), 0);
+  EXPECT_EQ(a.metrics().get("net.sent.p1"), 1);
+  EXPECT_GE(b.metrics().get("net.recv.p0"), 1);
+  EXPECT_EQ(b.metrics().get("net.decode_error"), 0);
 }
 
 TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
@@ -128,7 +130,7 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
   const bool suspected = a.run_until(
       [&] { return fda.suspected().contains(1); }, sec(5));
   EXPECT_TRUE(suspected);
-  EXPECT_GT(a.counters().get("msg.hb_p.alive.sent"), 0);
+  EXPECT_GT(a.metrics().get("msg.hb_p.alive.sent"), 0);
 }
 
 TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {
@@ -154,12 +156,12 @@ TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {
       a.run_for(msec(5));
       b.run_for(msec(5));
     }
-    const std::int64_t failed = a.counters().get("net.encode_error") +
-                                b.counters().get("net.encode_error");
+    const std::int64_t failed = a.metrics().get("net.encode_error") +
+                                b.metrics().get("net.encode_error");
     if (info.udp) {
       EXPECT_EQ(failed, 0);
-      EXPECT_GT(a.counters().get("net.recv.p1") +
-                    b.counters().get("net.recv.p0"),
+      EXPECT_GT(a.metrics().get("net.recv.p1") +
+                    b.metrics().get("net.recv.p0"),
                 0);
     } else {
       EXPECT_GT(failed, 0) << "encodes now: mark it udp";
@@ -197,8 +199,139 @@ TEST(SocketTransport, InjectedLossAndDelayStillConverge) {
   tb.join();
 
   EXPECT_GE(ea.pongs.load(), 50);
-  EXPECT_GT(a.counters().get("msg.t.ping.dropped"), 0);
+  EXPECT_GT(a.metrics().get("msg.t.ping.dropped"), 0);
   EXPECT_GE(eb.pings.load(), 50);
+}
+
+/// Names of the counters in \p m that start with \p prefix and end with
+/// \p suffix.
+std::set<std::string> counter_names(const obs::MetricsRegistry& m,
+                                    const std::string& prefix,
+                                    const std::string& suffix) {
+  std::set<std::string> out;
+  m.for_each_counter([&](const std::string& name, std::int64_t) {
+    if (name.rfind(prefix, 0) == 0 && name.size() >= suffix.size() &&
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      out.insert(name);
+    }
+  });
+  return out;
+}
+
+TEST(SocketTransport, CountsEverySendTheLostSubsetAndClientFrames) {
+  // The per-label counters mean what the simulator's mean: ".sent" counts
+  // every send, ".dropped" the lost subset, and the ".dropped" key appears
+  // with the first drop. Client frames count on their own two cells.
+  const auto peers = loopback_peers(2, 21250);
+  auto oa = options(0, peers);
+  oa.loss = 0.5;
+  SocketEnv a(oa);
+  SocketEnv b(options(1, peers));
+  std::string error;
+  ASSERT_TRUE(a.open(&error)) << error;
+  ASSERT_TRUE(b.open(&error)) << error;
+  auto& ea = a.emplace<Echo>();
+  auto& eb = b.emplace<Echo>();
+  b.set_external_handler([&b](DgramEnv::ExternalToken from, const Message&) {
+    b.send_external(from, Message::make_empty(protocol_ids::kTesting, 2,
+                                              "t.client_reply"));
+  });
+  a.start();
+  b.start();
+
+  constexpr int kSends = 40;
+  for (int i = 1; i <= kSends; ++i) {
+    ea.ping(1);
+    const std::int64_t dropped = a.metrics().get("msg.t.ping.dropped");
+    EXPECT_EQ(a.metrics().get("msg.t.ping.sent"), i);
+    EXPECT_EQ(counter_names(a.metrics(), "msg.t.ping.", ".dropped").size(),
+              dropped > 0 ? 1u : 0u)
+        << "after send " << i;
+    a.run_for(msec(1));
+  }
+  const std::int64_t dropped = a.metrics().get("msg.t.ping.dropped");
+  EXPECT_GT(dropped, 0);
+  EXPECT_LT(dropped, kSends);
+  EXPECT_TRUE(b.run_until(
+      [&] { return eb.pings.load() == kSends - dropped; }, sec(5)));
+  EXPECT_EQ(b.metrics().get("net.recv.p0"), kSends - dropped);
+  EXPECT_TRUE(counter_names(b.metrics(), "net.", "_external").empty())
+      << "no client has spoken yet";
+
+  // A client outside the universe: kClient frames in, one reply each.
+  const int raw = ::socket(AF_INET, SOCK_DGRAM, 0);
+  ASSERT_GE(raw, 0);
+  timeval tv{5, 0};
+  ASSERT_EQ(::setsockopt(raw, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)), 0);
+  sockaddr_in to{};
+  to.sin_family = AF_INET;
+  to.sin_port = htons(peers[1].port);
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &to.sin_addr), 1);
+  Message request = Message::make_empty(protocol_ids::kTesting, 1, "t.client");
+  request.src = kNoProcess;
+  request.dst = 1;
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(wire::encode_message(request, &frame));
+  constexpr int kClient = 3;
+  int replies = 0;
+  for (int i = 0; i < kClient; ++i) {
+    ASSERT_EQ(::sendto(raw, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
+              static_cast<ssize_t>(frame.size()));
+    b.run_until([&] { return b.metrics().get("net.sent_external") > i; },
+                sec(5));
+    std::uint8_t buf[2048];
+    if (::recv(raw, buf, sizeof(buf), 0) > 0) ++replies;
+  }
+  ::close(raw);
+  EXPECT_EQ(replies, kClient);
+  EXPECT_EQ(b.metrics().get("net.recv_external"), kClient);
+  EXPECT_EQ(b.metrics().get("net.sent_external"), kClient);
+}
+
+TEST(SocketTransport, SimulatorAndUdpCountTheSameMessageNames) {
+  // The ecfd stack (stable Omega -> Fig. 2 CToP) at the node's timings,
+  // once in the simulator and once over a loopback pair: both runtimes
+  // count through MessageCounters, so the sets of "msg.*.sent" names match.
+  consensus::FdTimings timings;
+  timings.period = msec(50);
+  timings.initial_timeout = msec(250);
+  timings.timeout_increment = msec(100);
+
+  ScenarioConfig sc;
+  sc.n = 2;
+  sc.seed = 3;
+  sc.links = LinkKind::kReliable;
+  auto sys = make_system(sc);
+  for (ProcessId p = 0; p < sc.n; ++p) {
+    consensus::install_fd_stack(consensus::FdStack::kEcfd, sys->host(p),
+                                timings);
+  }
+  sys->start();
+  sys->run_until(msec(400));
+  const auto sim_names = counter_names(sys->metrics(), "msg.", ".sent");
+
+  const auto peers = loopback_peers(2, 21260);
+  SocketEnv a(options(0, peers));
+  SocketEnv b(options(1, peers));
+  std::string error;
+  ASSERT_TRUE(a.open(&error)) << error;
+  ASSERT_TRUE(b.open(&error)) << error;
+  consensus::install_fd_stack(consensus::FdStack::kEcfd, a, timings);
+  consensus::install_fd_stack(consensus::FdStack::kEcfd, b, timings);
+  a.start();
+  b.start();
+  for (int i = 0; i < 40; ++i) {
+    a.run_for(msec(5));
+    b.run_for(msec(5));
+  }
+  auto udp_names = counter_names(a.metrics(), "msg.", ".sent");
+  for (const auto& name : counter_names(b.metrics(), "msg.", ".sent")) {
+    udp_names.insert(name);
+  }
+  EXPECT_EQ(udp_names, sim_names);
+  EXPECT_EQ(sim_names.count("msg.sl.ok.sent"), 1u);
 }
 
 TEST(SocketTransport, MisaddressedAndCorruptDatagramsAreCountedNotDelivered) {
@@ -241,8 +374,8 @@ TEST(SocketTransport, MisaddressedAndCorruptDatagramsAreCountedNotDelivered) {
 
   a.run_until([&] { return ea.pings.load() >= 1; }, sec(5));
   EXPECT_EQ(ea.pings.load(), 1);
-  EXPECT_EQ(a.counters().get("net.decode_error"), 1);
-  EXPECT_EQ(a.counters().get("net.misaddressed"), 1);
+  EXPECT_EQ(a.metrics().get("net.decode_error"), 1);
+  EXPECT_EQ(a.metrics().get("net.misaddressed"), 1);
 }
 
 TEST(SocketTransport, FramesForUnregisteredProtocolsAreCountedNotDelivered) {
@@ -265,7 +398,7 @@ TEST(SocketTransport, FramesForUnregisteredProtocolsAreCountedNotDelivered) {
   b.run_for(msec(20));
   a.run_until([&] { return ea.pings.load() >= 1; }, sec(5));
   EXPECT_EQ(ea.pings.load(), 1);
-  EXPECT_EQ(a.counters().get("net.unknown_protocol"), 1);
+  EXPECT_EQ(a.metrics().get("net.unknown_protocol"), 1);
 }
 
 // --- DgramEnv timers (sim::EventQueue under the wall clock) -------------

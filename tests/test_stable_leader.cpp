@@ -119,6 +119,38 @@ TEST(StableLeader, FewLeaderChangesAfterStabilization) {
       << "no further leader changes once stable";
 }
 
+TEST(StableLeader, CounterVectorsOfAnotherSizeAreIgnored) {
+  // A well-formed sl.ok whose counter vector is not n long, as a forged UDP
+  // frame can carry, must leave every counter and the elected leader as
+  // they were (merging it once read past the end of a short vector).
+  const int n = 3;
+  auto sys = make_system(base_scenario(n, 9));
+  std::vector<fd::StableLeader*> fds;
+  for (ProcessId p = 0; p < n; ++p) {
+    fds.push_back(&sys->host(p).emplace<fd::StableLeader>());
+  }
+  sys->start();
+  sys->run_until(sec(2));
+  const ProcessId leader = fds[0]->trusted();
+  for (const auto& body : {std::vector<std::uint64_t>{7},
+                           std::vector<std::uint64_t>{7, 7, 7, 7}}) {
+    for (ProcessId p = 0; p < n; ++p) {
+      Message forged = Message::make(protocol_ids::kStableLeader, /*ok=*/1,
+                                     "sl.ok", body);
+      forged.src = (p + 1) % n;
+      forged.dst = p;
+      sys->network().send(forged);
+    }
+  }
+  sys->run_until(sec(3));
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(fds[p]->trusted(), leader) << "p" << p;
+    for (ProcessId q = 0; q < n; ++q) {
+      EXPECT_LT(fds[p]->accusations(q), 7u) << "p" << p << " on p" << q;
+    }
+  }
+}
+
 // --- the deadline rule, at the timings ecfd_node's INI and kvbench use ---
 //
 // Period 50 ms, fallback 250 ms, α step 100 ms; α starts at the predictor's

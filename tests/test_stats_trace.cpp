@@ -1,71 +1,73 @@
-#include "sim/stats.hpp"
-
+// The counter registry as the simulator and the UDP node use it: plain
+// counters, the sum of a protocol family's ".sent" counters, and the
+// per-label message accounting both runtimes share.
 #include <gtest/gtest.h>
 
-namespace ecfd::sim {
+#include <string>
+#include <vector>
+
+#include "net/message.hpp"
+#include "obs/metrics.hpp"
+
+namespace ecfd {
 namespace {
 
+std::vector<std::string> names(const obs::MetricsRegistry& m) {
+  std::vector<std::string> out;
+  m.for_each_counter(
+      [&out](const std::string& name, std::int64_t) { out.push_back(name); });
+  return out;
+}
+
 TEST(Counters, AddAndGet) {
-  Counters c;
+  obs::MetricsRegistry c;
   c.add("x");
   c.add("x", 4);
   EXPECT_EQ(c.get("x"), 5);
   EXPECT_EQ(c.get("missing"), 0);
 }
 
-TEST(Counters, SumPrefix) {
-  Counters c;
+TEST(Counters, SumSent) {
+  obs::MetricsRegistry c;
   c.add("msg.a.sent", 3);
   c.add("msg.a.dropped", 1);
   c.add("msg.b.sent", 7);
-  c.add("other", 100);
-  EXPECT_EQ(c.sum_prefix("msg."), 11);
-  EXPECT_EQ(c.sum_prefix("msg.a."), 4);
-  EXPECT_EQ(c.sum_prefix("zzz"), 0);
+  c.add("other.sent", 100);
+  EXPECT_EQ(sum_sent(c, "msg."), 10);
+  EXPECT_EQ(sum_sent(c, "msg.a."), 3);
+  EXPECT_EQ(sum_sent(c, "zzz"), 0);
 }
 
-TEST(Counters, ResetClears) {
-  Counters c;
-  c.add("x");
-  c.reset();
-  EXPECT_EQ(c.get("x"), 0);
-  EXPECT_TRUE(c.all().empty());
+TEST(Counters, ReadsCreateNoKeyAndVisitInNameOrder) {
+  // The run digests hash every (name, value) in name order, so a read must
+  // not materialize a zero-valued key.
+  obs::MetricsRegistry c;
+  c.add("b");
+  c.add("a", 2);
+  EXPECT_EQ(c.get("missing"), 0);
+  EXPECT_EQ(names(c), (std::vector<std::string>{"a", "b"}));
 }
 
-TEST(Summary, BasicStatistics) {
-  Summary s;
-  for (double v : {4.0, 1.0, 3.0, 2.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-}
+TEST(Counters, MessageCountersCountEverySendAndTheLostSubset) {
+  obs::MetricsRegistry c;
+  MessageCounters counters(c);
+  const Message ping = Message::make_empty(900, 1, "t.ping");
+  counters.sent(ping);
+  counters.sent(ping);
+  EXPECT_EQ(c.get("msg.t.ping.sent"), 2);
+  EXPECT_EQ(names(c), std::vector<std::string>{"msg.t.ping.sent"})
+      << "no .dropped key before the first drop";
+  counters.sent(ping);
+  counters.dropped(ping);
+  EXPECT_EQ(c.get("msg.t.ping.sent"), 3);
+  EXPECT_EQ(c.get("msg.t.ping.dropped"), 1);
 
-TEST(Summary, Percentiles) {
-  Summary s;
-  for (int i = 1; i <= 100; ++i) s.add(i);
-  EXPECT_DOUBLE_EQ(s.percentile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.percentile(1.0), 100.0);
-  EXPECT_NEAR(s.percentile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(s.percentile(0.9), 90.0, 1.0);
-}
-
-TEST(Summary, EmptyMeanIsZero) {
-  Summary s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-}
-
-TEST(Summary, AddAfterQueryStillSorted) {
-  Summary s;
-  s.add(5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  s.add(9.0);
-  s.add(1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
+  Message unlabeled = Message::make_empty(900, 7, "");
+  counters.sent(unlabeled);
+  counters.dropped(unlabeled);
+  EXPECT_EQ(c.get("msg.proto900.type7.sent"), 1);
+  EXPECT_EQ(c.get("msg.proto900.type7.dropped"), 1);
 }
 
 }  // namespace
-}  // namespace ecfd::sim
+}  // namespace ecfd

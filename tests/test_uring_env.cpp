@@ -107,8 +107,8 @@ TEST(UringEnv, PingPongOverUring) {
   EXPECT_EQ(eb.pings, 1);
   EXPECT_EQ(ea.pongs, 1);
   // Counter contract is backend-independent: frames counted per peer.
-  EXPECT_EQ(a.counters().get("net.sent.p1"), 1);
-  EXPECT_EQ(a.counters().get("net.recv.p1"), 1);
+  EXPECT_EQ(a.metrics().get("net.sent.p1"), 1);
+  EXPECT_EQ(a.metrics().get("net.recv.p1"), 1);
   EXPECT_EQ(std::string(a.backend_name()), "uring");
 #endif
 }
@@ -157,11 +157,11 @@ TEST(UringEnv, InteropCoalescedEnvelopesAcrossBackends) {
   EXPECT_EQ(ea.pongs, kBurst);
   // The counter contract under coalescing: frames stay frame-granular,
   // datagrams shrink, and the batch is visible in the envelope counter.
-  EXPECT_EQ(a.counters().get("net.sent.p1"), kBurst);
-  EXPECT_LT(a.counters().get("net.dgram_sent.p1"), kBurst);
-  EXPECT_GE(a.counters().get("net.envelope_sent"), 1);
-  EXPECT_GE(b.counters().get("net.envelope_recv"), 1);
-  EXPECT_EQ(b.counters().get("net.envelope_decode_error"), 0);
+  EXPECT_EQ(a.metrics().get("net.sent.p1"), kBurst);
+  EXPECT_LT(a.metrics().get("net.dgram_sent.p1"), kBurst);
+  EXPECT_GE(a.metrics().get("net.envelope_sent"), 1);
+  EXPECT_GE(b.metrics().get("net.envelope_recv"), 1);
+  EXPECT_EQ(b.metrics().get("net.envelope_decode_error"), 0);
 #endif
 }
 

@@ -89,8 +89,7 @@ int replay_file(const std::string& path, bool verbose, const ReplayObs& o) {
     std::fprintf(stderr, "replay: trace written: %s\n", o.trace_path.c_str());
   }
   if (!o.metrics_path.empty()) {
-    obs::MetricsRegistry metrics;
-    metrics.import_counters(out.counters);
+    obs::MetricsRegistry& metrics = *out.metrics;
     metrics.add("run.sim_end_us", out.sim_end);
     metrics.add("run.violations",
                 static_cast<std::int64_t>(out.violations.size()));

@@ -415,7 +415,7 @@ int main(int argc, char** argv) {
   // flight image, so the postmortem is never staler than one period.
   std::function<void()> report = [&]() {
     std::cout << report_line(env.now(), id, fd_name, env.backend_name(),
-                             stack, cons, kvs, env.counters(), env.n())
+                             stack, cons, kvs, env.metrics(), env.n())
               << std::endl;  // flush: readers are pipes and demo scripts
     drain_qos();
     if (flight.is_open()) flight.snapshot(env.now());
@@ -449,7 +449,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << report_line(env.now(), id, fd_name, env.backend_name(),
-                           stack, cons, kvs, env.counters(), env.n())
+                           stack, cons, kvs, env.metrics(), env.n())
             << std::endl;
 
   // Orderly teardown of the observability tier: final QoS drain, final

@@ -249,8 +249,7 @@ int main(int argc, char** argv) {
     std::cout << "chrome trace written: " << trace_chrome_path << "\n";
   }
   if (!metrics_path.empty()) {
-    obs::MetricsRegistry metrics;
-    metrics.import_counters(r.counters);
+    obs::MetricsRegistry& metrics = *r.metrics;
     metrics.add("run.events_fired", static_cast<std::int64_t>(r.events_fired));
     metrics.add("run.sim_end_us", r.sim_end);
     metrics.add("run.msgs.consensus", r.consensus_msgs);
