@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "consensus/bodies.hpp"
 #include "consensus/harness.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "net/scenario.hpp"
@@ -137,12 +138,10 @@ void BM_NetworkSendFanOut(benchmark::State& state) {
   cfg.links = LinkKind::kReliable;
   auto sys = make_system(cfg);
   sys->start();
-  struct Ping {
-    int round{0};
-  };
   int round = 0;
   for (auto _ : state) {
-    Message m = Message::make<Ping>(900, 1, "bench.fanout", Ping{round++});
+    Message m = Message::make(900, 1, "bench.fanout",
+                              consensus::RoundOnly{round++});
     m.src = 0;
     for (ProcessId q = 1; q < n; ++q) {
       m.dst = q;

@@ -86,10 +86,6 @@ struct Hist {
   }
 };
 
-struct Ping {
-  TimeUs sent{0};
-};
-
 /// Token-ring storm shaped like failure-detector steady state: one host in
 /// every kTokenStride launches a token; each delivery stamps send->deliver
 /// latency, refreshes a watchdog timer (exactly what heartbeat receipt does
@@ -114,7 +110,8 @@ class Storm final : public Protocol {
   void on_message(const Message& m) override {
     hops_->fetch_add(1, std::memory_order_relaxed);
     if (recording_->load(std::memory_order_relaxed)) {
-      hist_->add(env_.now() - m.as<Ping>().sent);
+      // The token's body is its send time.
+      if (const auto* sent = m.as<TimeUs>()) hist_->add(env_.now() - *sent);
     }
     // Watchdog refresh, as on heartbeat receipt: cancel the old deadline,
     // arm a new one far enough out that it never actually fires.
@@ -126,8 +123,8 @@ class Storm final : public Protocol {
  private:
   void forward() {
     const ProcessId next = (env_.self() + 1) % env_.n();
-    env_.send(next, Message::make<Ping>(protocol_id(), 1, "e9.ping",
-                                        Ping{env_.now()}));
+    env_.send(next, Message::make<TimeUs>(protocol_id(), 1, "e9.ping",
+                                          env_.now()));
   }
 
   std::atomic<std::int64_t>* hops_;

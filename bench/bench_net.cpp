@@ -134,7 +134,9 @@ class Flood final : public Protocol {
 
   void on_message(const Message& m) override {
     received_.fetch_add(1, std::memory_order_relaxed);
-    latency_.observe(wall_us() - m.as<std::int64_t>());
+    if (const auto* sent = m.as<std::int64_t>()) {
+      latency_.observe(wall_us() - *sent);
+    }
   }
 
   [[nodiscard]] std::int64_t received() const {

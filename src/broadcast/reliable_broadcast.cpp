@@ -19,8 +19,9 @@ void ReliableBroadcast::diffuse_and_deliver(const RbEnvelope& envelope) {
 }
 
 void ReliableBroadcast::on_message(const Message& m) {
-  if (m.type != kRelay) return;
-  diffuse_and_deliver(m.as<RbEnvelope>());
+  const auto* envelope = m.as<RbEnvelope>();
+  if (m.type != kRelay || envelope == nullptr) return;
+  diffuse_and_deliver(*envelope);
 }
 
 }  // namespace ecfd::broadcast

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <typeinfo>
 #include <unordered_set>
 
 #include "net/env.hpp"
@@ -25,18 +24,21 @@ namespace ecfd::broadcast {
 
 /// A delivered broadcast.
 struct RbEnvelope {
+  static constexpr PayloadKind kKind = PayloadKind::kRbEnvelope;
+
   ProcessId origin{kNoProcess};
   std::uint64_t seq{0};  ///< per-origin sequence number
   int tag{0};            ///< application-defined discriminator
 
   std::shared_ptr<const void> body{};
-  const std::type_info* body_type{nullptr};
+  PayloadKind body_kind{PayloadKind::kNone};
 
+  /// The body as a T, or null when it is of another kind (or absent); as
+  /// for Message::as, a delivery callback drops such a broadcast.
   template <class T>
-  const T& as() const {
-    assert(body && body_type && *body_type == typeid(T) &&
-           "RB envelope body type mismatch");
-    return *static_cast<const T*>(body.get());
+  const T* as() const {
+    return body_kind == kind_of<T> ? static_cast<const T*>(body.get())
+                                   : nullptr;
   }
 };
 
@@ -60,9 +62,8 @@ class ReliableBroadcast final : public Protocol {
     env_out.origin = env_.self();
     env_out.seq = next_seq_++;
     env_out.tag = tag;
-    auto owned = std::make_shared<const T>(std::move(body));
-    env_out.body_type = &typeid(T);
-    env_out.body = std::move(owned);
+    env_out.body_kind = kind_of<T>;
+    env_out.body = std::make_shared<const T>(std::move(body));
     diffuse_and_deliver(env_out);
   }
 

@@ -94,7 +94,7 @@ void NoMajorityConsensus::propose(consensus::Value v) {
 }
 
 void NoMajorityConsensus::on_message(const Message& m) {
-  decide(m.as<consensus::Value>(), 1);
+  if (const auto* v = m.as<consensus::Value>()) decide(*v, 1);
 }
 
 // --- catalogue ----------------------------------------------------------

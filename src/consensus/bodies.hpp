@@ -9,12 +9,13 @@
 ///
 /// They are public (rather than nested in the protocol classes) so the
 /// wire codec (wire/codec.hpp) can serialize them for the real-network
-/// transport without befriending every engine.
+/// transport without befriending every engine. Each names its PayloadKind.
 
 namespace ecfd::consensus {
 
 /// Phase 1: a participant's timestamped estimate for a round.
 struct EstimateBody {
+  static constexpr PayloadKind kKind = PayloadKind::kEstimate;
   int round{};
   Value value{};
   int ts{};
@@ -22,6 +23,7 @@ struct EstimateBody {
 
 /// Phase 2: a coordinator's (non-null) proposition.
 struct ProposeBody {
+  static constexpr PayloadKind kKind = PayloadKind::kPropose;
   int round{};
   Value value{};
 };
@@ -29,11 +31,13 @@ struct ProposeBody {
 /// Round-only bodies: coordinator announcements, null estimates, null
 /// propositions, acks and nacks.
 struct RoundOnly {
+  static constexpr PayloadKind kKind = PayloadKind::kRoundOnly;
   int round{};
 };
 
 /// R-broadcast decision payload.
 struct DecideBody {
+  static constexpr PayloadKind kKind = PayloadKind::kDecide;
   int round{};
   Value value{};
 };

@@ -154,32 +154,32 @@ void ChandraTouegConsensus::on_message(const Message& m) {
   }
   switch (m.type) {
     case kEstimate: {
-      const auto& b = m.as<EstimateBody>();
-      if (b.round < round_) break;  // stale: that round is over for us
-      auto [it, inserted] = estimates_.try_emplace(b.round);
+      const auto* b = m.as<EstimateBody>();
+      if (b == nullptr || b->round < round_) break;  // stale: round is over
+      auto [it, inserted] = estimates_.try_emplace(b->round);
       if (inserted) it->second.responders = ProcessSet(env_.n());
       if (it->second.responders.contains(m.src)) break;
       it->second.responders.add(m.src);
       ++it->second.total;
-      if (b.ts > it->second.best_ts) {
-        it->second.best_ts = b.ts;
-        it->second.best = b.value;
+      if (b->ts > it->second.best_ts) {
+        it->second.best_ts = b->ts;
+        it->second.best = b->value;
       }
       step();
       break;
     }
     case kPropose: {
-      const auto& b = m.as<ProposeBody>();
-      if (b.round < round_) break;  // we already acked or nacked that round
-      proposals_.emplace(b.round, b);
+      const auto* b = m.as<ProposeBody>();
+      if (b == nullptr || b->round < round_) break;  // acked or nacked it
+      proposals_.emplace(b->round, *b);
       step();
       break;
     }
     case kAck:
     case kNack: {
-      const int r = m.as<RoundOnly>().round;
-      if (r < round_) break;
-      auto [it, inserted] = acks_.try_emplace(r);
+      const auto* b = m.as<RoundOnly>();
+      if (b == nullptr || b->round < round_) break;
+      auto [it, inserted] = acks_.try_emplace(b->round);
       if (inserted) it->second.responders = ProcessSet(env_.n());
       if (it->second.responders.contains(m.src)) break;
       it->second.responders.add(m.src);
@@ -197,9 +197,9 @@ void ChandraTouegConsensus::on_message(const Message& m) {
 }
 
 void ChandraTouegConsensus::on_rb_deliver(const broadcast::RbEnvelope& e) {
-  if (e.tag != kDecideTag) return;
-  const auto& b = e.as<DecideBody>();
-  decide(b.value, b.round);
+  const auto* b = e.as<DecideBody>();
+  if (e.tag != kDecideTag || b == nullptr) return;
+  decide(b->value, b->round);
   halt();
 }
 

@@ -82,7 +82,9 @@ void CToP::leader_tick() {
 void CToP::on_message(const Message& m) {
   // A list over another universe comes from a forged or corrupt frame;
   // adopting it would break every set operation on the output.
-  if (m.type == kList && m.as<ProcessSet>().universe_size() != env_.n()) {
+  const auto* list = m.as<ProcessSet>();
+  if (m.type == kList &&
+      (list == nullptr || list->universe_size() != env_.n())) {
     return;
   }
   // Any message of ours, an I-AM-ALIVE or a list, shows its sender alive.
@@ -103,7 +105,7 @@ void CToP::on_message(const Message& m) {
       // Task 5: adopt the list, but only from the process we currently
       // trust, and never adopt a suspicion of ourselves.
       if (m.src == trusted_src_->trusted()) {
-        adopted_ = m.as<ProcessSet>();
+        adopted_ = *list;
         adopted_.remove(env_.self());
         list_src_ = m.src;
       }

@@ -270,7 +270,13 @@ bool ConsensusC::step_once() {
         return true;
       }
       if (cfg_.merged_phase01) {
-        become_participant(fd_->trusted());
+        // ◇C only promises that the trusted process is eventually not
+        // suspected. Joining it while this module still suspects it would
+        // nack at once in Phase 3 and start round after round at one
+        // instant, so wait; the poll timer re-checks.
+        const ProcessId c = fd_->trusted();
+        if (c == kNoProcess || fd_->suspected().contains(c)) return false;
+        become_participant(c);
         return true;
       }
       // Adopt the latest announced round >= ours (footnote 2).
@@ -376,7 +382,9 @@ void ConsensusC::on_message(const Message& m) {
   }
   switch (m.type) {
     case kCoordinator: {
-      const int r = m.as<RoundOnly>().round;
+      const auto* b = m.as<RoundOnly>();
+      if (b == nullptr) break;
+      const int r = b->round;
       if (r < round_ || (r == round_ && phase_ > 0)) {
         // Fig. 4, first task: null estimate to any *other* coordinator of
         // the current or a previous round.
@@ -390,42 +398,46 @@ void ConsensusC::on_message(const Message& m) {
       break;
     }
     case kEstimate: {
-      const auto& b = m.as<EstimateBody>();
-      record_estimate(b.round, m.src, /*real=*/true, b.value, b.ts);
+      const auto* b = m.as<EstimateBody>();
+      if (b == nullptr) break;
+      record_estimate(b->round, m.src, /*real=*/true, b->value, b->ts);
       step();
       break;
     }
     case kNullEstimate: {
-      const auto& b = m.as<EstimateBody>();
-      record_estimate(b.round, m.src, /*real=*/false, 0, 0);
+      const auto* b = m.as<EstimateBody>();
+      if (b == nullptr) break;
+      record_estimate(b->round, m.src, /*real=*/false, 0, 0);
       step();
       break;
     }
     case kPropose: {
-      const auto& b = m.as<ProposeBody>();
-      if (b.round < round_) {
+      const auto* b = m.as<ProposeBody>();
+      if (b == nullptr) break;
+      if (b->round < round_) {
         // Fig. 4, second task: nack a late non-null proposition.
         env_.send(m.src, Message::make(protocol_id(), kNack, "cons_c.nack",
-                                       RoundOnly{b.round}));
+                                       RoundOnly{b->round}));
       } else {
-        proposals_[b.round].push_back(
-            ProposalSeen{m.src, true, b.value});
+        proposals_[b->round].push_back(
+            ProposalSeen{m.src, true, b->value});
         step();
       }
       break;
     }
     case kNullPropose: {
-      const int r = m.as<RoundOnly>().round;
-      if (r >= round_) {
-        proposals_[r].push_back(ProposalSeen{m.src, false, 0});
+      const auto* b = m.as<RoundOnly>();
+      if (b != nullptr && b->round >= round_) {
+        proposals_[b->round].push_back(ProposalSeen{m.src, false, 0});
         step();
       }
       break;
     }
     case kAck:
     case kNack: {
-      const int r = m.as<RoundOnly>().round;
-      auto [it, inserted] = acks_.try_emplace(r);
+      const auto* b = m.as<RoundOnly>();
+      if (b == nullptr) break;
+      auto [it, inserted] = acks_.try_emplace(b->round);
       if (inserted) it->second.responders = ProcessSet(env_.n());
       if (!it->second.responders.contains(m.src)) {
         it->second.responders.add(m.src);
@@ -444,9 +456,9 @@ void ConsensusC::on_message(const Message& m) {
 }
 
 void ConsensusC::on_rb_deliver(const broadcast::RbEnvelope& e) {
-  if (e.tag != kDecideTag) return;
-  const auto& b = e.as<DecideBody>();
-  decide(b.value, b.round);
+  const auto* b = e.as<DecideBody>();
+  if (e.tag != kDecideTag || b == nullptr) return;
+  decide(b->value, b->round);
   halt();
 }
 

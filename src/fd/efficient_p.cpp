@@ -73,6 +73,10 @@ void EfficientP::on_message(const Message& m) {
   const auto i = static_cast<std::size_t>(m.src);
   switch (m.type) {
     case kLeaderList: {
+      // A list over another universe comes from a forged or corrupt frame;
+      // adopting it would break every set operation on the output.
+      const auto* list = m.as<ProcessSet>();
+      if (list == nullptr || list->universe_size() != env_.n()) break;
       last_heard_[i] = env_.now();
       if (candidate_susp_.contains(m.src)) {
         // A lower-ranked candidate is back: roll back, widen its timeout.
@@ -83,7 +87,7 @@ void EfficientP::on_message(const Message& m) {
       }
       // Adopt the list only from our current candidate (Fig. 2, Task 5).
       if (m.src == trusted()) {
-        adopted_ = m.as<ProcessSet>();
+        adopted_ = *list;
         adopted_.remove(env_.self());
       }
       break;

@@ -215,12 +215,12 @@ void HierC::on_message(const Message& m) {
         beat_timeout_[i] += cfg_.timeout_increment;
         env_.record(EventType::kUnsuspect, m.src);
       }
-      if (m.src == cell_candidate()) {
-        const auto& d = m.as<HierDigest>();
-        adopted_ = d.susp;
+      const auto* d = m.as<HierDigest>();
+      if (d != nullptr && m.src == cell_candidate()) {
+        adopted_ = d->susp;
         adopted_.remove(env_.self());
-        if (digest_leader_ != d.leader) {
-          digest_leader_ = d.leader;
+        if (digest_leader_ != d->leader) {
+          digest_leader_ = d->leader;
           env_.record(EventType::kLeaderChange, digest_leader_);
         }
       }
@@ -240,11 +240,12 @@ void HierC::on_message(const Message& m) {
     case kTopBeat: {
       note_top_contact(m.src);
       const int d = cell_of(m.src);
-      if (acting_cell_leader_ && d != own_cell_ && d == top_candidate_cell()) {
-        const auto& body = m.as<HierDigest>();
-        top_digest_ = body.susp;
-        if (digest_leader_ != body.leader) {
-          digest_leader_ = body.leader;
+      const auto* body = m.as<HierDigest>();
+      if (body != nullptr && acting_cell_leader_ && d != own_cell_ &&
+          d == top_candidate_cell()) {
+        top_digest_ = body->susp;
+        if (digest_leader_ != body->leader) {
+          digest_leader_ = body->leader;
           env_.record(EventType::kLeaderChange, digest_leader_);
         }
       }
@@ -253,10 +254,11 @@ void HierC::on_message(const Message& m) {
     case kTopReport: {
       note_top_contact(m.src);
       const int d = cell_of(m.src);
-      if (acting_top_leader_ && d != own_cell_) {
+      const auto* report = m.as<ProcessSet>();
+      if (report != nullptr && acting_top_leader_ && d != own_cell_) {
         // Keep the report inside the sender's cell: a buggy or byzantine
         // report must not let cell d slander processes it does not own.
-        ProcessSet r = m.as<ProcessSet>();
+        ProcessSet r = *report;
         for (ProcessId q : r.members()) {
           if (cell_of(q) != d) r.remove(q);
         }

@@ -46,6 +46,7 @@ namespace ecfd::fd {
 
 /// Body of the digest-carrying beats (top → cell leaders → members).
 struct HierDigest {
+  static constexpr PayloadKind kKind = PayloadKind::kHierDigest;
   ProcessSet susp;
   ProcessId leader{kNoProcess};
 };

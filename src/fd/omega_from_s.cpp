@@ -35,11 +35,13 @@ void OmegaFromS::tick() {
 }
 
 void OmegaFromS::on_message(const Message& m) {
-  if (m.type != kCounts) return;
-  const auto& row = m.as<std::vector<std::uint64_t>>();
+  const auto* row = m.as<std::vector<std::uint64_t>>();
   auto& known = rows_[static_cast<std::size_t>(m.src)];
+  if (m.type != kCounts || row == nullptr || row->size() != known.size()) {
+    return;
+  }
   for (std::size_t i = 0; i < known.size(); ++i) {
-    known[i] = std::max(known[i], row[i]);
+    known[i] = std::max(known[i], (*row)[i]);
   }
 }
 

@@ -67,6 +67,7 @@ class RingFd final : public Protocol, public SuspectOracle, public LeaderOracle 
   /// The circulated QUERY/REPLY body (public so the wire codec can
   /// serialize it for the real-network transport).
   struct Body {
+    static constexpr PayloadKind kKind = PayloadKind::kRingBody;
     std::vector<std::uint64_t> seq;
     ProcessSet susp;
   };

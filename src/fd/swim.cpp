@@ -213,7 +213,9 @@ void SwimFd::tick() {
 }
 
 void SwimFd::on_message(const Message& m) {
-  const auto& b = m.as<SwimBody>();
+  const auto* body = m.as<SwimBody>();
+  if (body == nullptr) return;
+  const SwimBody& b = *body;
   for (const SwimUpdate& u : b.updates) apply_update(u);
   switch (m.type) {
     case kPing:

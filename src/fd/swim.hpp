@@ -53,6 +53,7 @@ struct SwimUpdate {
 
 /// Body shared by ping / ping-req / ack messages.
 struct SwimBody {
+  static constexpr PayloadKind kKind = PayloadKind::kSwimBody;
   std::uint64_t seq{0};
   ProcessId origin{kNoProcess};   ///< prober the ack must reach
   ProcessId subject{kNoProcess};  ///< probe target (ping-req relays)

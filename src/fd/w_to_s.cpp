@@ -30,8 +30,12 @@ void WToS::tick() {
 }
 
 void WToS::on_message(const Message& m) {
-  if (m.type != kSuspects) return;
-  output_ |= m.as<ProcessSet>();
+  const auto* suspects = m.as<ProcessSet>();
+  if (m.type != kSuspects || suspects == nullptr ||
+      suspects->universe_size() != env_.n()) {
+    return;
+  }
+  output_ |= *suspects;
   output_.remove(m.src);  // the message itself proves m.src alive
   output_.remove(env_.self());
 }

@@ -103,10 +103,10 @@ std::optional<Reply> KvClient::send_and_wait(const Request& req) {
       auto decoded =
           wire::decode_message(buf, static_cast<std::size_t>(got));
       if (!decoded || decoded->protocol != protocol_ids::kKvService ||
-          decoded->type != kMsgClientReply) {
+          decoded->type != kMsgClientReply || !decoded->as<Reply>()) {
         continue;
       }
-      const Reply& r = decoded->as<Reply>();
+      const Reply& r = *decoded->as<Reply>();
       if (r.session != req.session || r.tag != req.tag) continue;
 
       answered = true;

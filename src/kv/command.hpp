@@ -20,9 +20,9 @@
 /// id up in its delivered-bodies table — agreement on ids plus reliable
 /// dissemination of bodies gives agreement on state.
 ///
-/// All of these shapes are registered in wire/codec.hpp (PayloadKinds
-/// kKvRequest..kKvSnapshot), so they share the CRC-framed, fuzz-hardened
-/// binary codec with every other protocol in the library.
+/// The four message shapes name PayloadKinds kKvRequest..kKvSnapshot, so
+/// they share the CRC-framed, fuzz-hardened binary codec (wire/codec.hpp)
+/// with every other protocol in the library.
 
 namespace ecfd::kv {
 
@@ -93,6 +93,7 @@ inline constexpr std::uint8_t kFlagLeaseRead = 1;  ///< reads may be served
 /// All ops of a request commit in one consensus batch and are answered by
 /// a single Reply.
 struct Request {
+  static constexpr PayloadKind kKind = PayloadKind::kKvRequest;
   std::uint8_t version{kProtoVersion};
   std::uint8_t flags{kFlagLeaseRead};
   std::uint64_t session{0};
@@ -112,6 +113,7 @@ struct OpResult {
 
 /// Server -> client envelope.
 struct Reply {
+  static constexpr PayloadKind kKind = PayloadKind::kKvReply;
   std::uint64_t session{0};
   std::uint64_t tag{0};
   Status status{Status::kOk};        ///< transport-level outcome
@@ -136,6 +138,7 @@ struct Cmd {
 /// disseminated by reliable broadcast before (or concurrently with) the
 /// slot deciding `id`.
 struct BatchBody {
+  static constexpr PayloadKind kKind = PayloadKind::kKvBatch;
   std::int64_t id{0};  ///< unique, positive; see make_batch_id
   std::vector<Cmd> cmds;
 };
@@ -145,6 +148,7 @@ struct BatchBody {
 /// floor. Chunks of one snapshot share snap_id; the receiver reassembles
 /// `total` of them, installs the state, and fast-forwards its log.
 struct SnapshotChunk {
+  static constexpr PayloadKind kKind = PayloadKind::kKvSnapshot;
   std::uint64_t snap_id{0};
   std::int32_t upto_slot{0};  ///< state covers slots [0, upto_slot)
   std::uint32_t index{0};

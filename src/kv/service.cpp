@@ -142,6 +142,14 @@ void KvService::handle_request(Token token, const Request& req) {
   enqueue(w, req);
 }
 
+void KvService::handle_client(Token token, const Message& m) {
+  const auto* req = m.as<Request>();
+  if (m.protocol == protocol_ids::kKvService && m.type == kMsgClientRequest &&
+      req != nullptr) {
+    handle_request(token, *req);
+  }
+}
+
 void KvService::enqueue(const Waiter& w, const Request& req) {
   // Never let a batch grow past the wire bound: flush what is queued
   // first if this request would not fit.
@@ -205,9 +213,9 @@ void KvService::reply_to(const Waiter& w, Reply r) {
 // ------------------------------------------------------- apply pipeline
 
 void KvService::on_batch_delivered(const broadcast::RbEnvelope& e) {
-  if (e.tag != kRbTagBatch) return;
-  const auto& body = e.as<BatchBody>();
-  bodies_.emplace(body.id, body);
+  const auto* body = e.as<BatchBody>();
+  if (e.tag != kRbTagBatch || body == nullptr) return;
+  bodies_.emplace(body->id, *body);
   drain_applies();
 }
 
@@ -391,10 +399,12 @@ bool KvService::lease_read_ok(const Request& req) const {
 void KvService::on_message(const Message& m) {
   switch (m.type) {
     case kMsgApplied:
-      on_peer_applied(m.src, m.as<std::int64_t>());
+      if (const auto* slot = m.as<std::int64_t>()) {
+        on_peer_applied(m.src, *slot);
+      }
       break;
     case kMsgSnapshotChunk:
-      on_snapshot_chunk(m.as<SnapshotChunk>());
+      if (const auto* chunk = m.as<SnapshotChunk>()) on_snapshot_chunk(*chunk);
       break;
     default:
       // Client frames arrive through handle_request(), never as peer

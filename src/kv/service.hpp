@@ -54,9 +54,8 @@
 ///
 /// The service runs unchanged on all three Env backends. Peer traffic
 /// (watermarks, snapshot chunks) flows through Env::send; client traffic
-/// enters via handle_request() — called by the UDP node's external-frame
-/// handler or by tests directly — and leaves through the pluggable reply
-/// sink.
+/// enters via handle_client() (the UDP node's external-frame handler) or
+/// handle_request() (tests) and leaves through the pluggable reply sink.
 
 namespace ecfd::kv {
 
@@ -92,6 +91,11 @@ class KvService final : public Protocol {
   /// validation error, dedup hit) or asynchronously on commit; every
   /// request produces exactly one reply through the sink.
   void handle_request(Token token, const Request& req);
+
+  /// A client frame: a kMsgClientRequest carrying a Request goes to
+  /// handle_request(); any other frame is dropped, as on_message drops an
+  /// unknown message type.
+  void handle_client(Token token, const Message& m);
 
   /// Where replies to handle_request() clients go. Must be set before the
   /// first request.

@@ -1,13 +1,12 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <typeinfo>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "net/payload_pool.hpp"
 #include "net/process_set.hpp"
@@ -19,6 +18,12 @@
 /// host should handle it), a per-protocol integer type, and an immutable,
 /// shared, typed payload. Payloads are shared rather than copied so that a
 /// broadcast of one body to n-1 destinations costs one allocation.
+///
+/// The payload's PayloadKind is the one registry of body types: make<T>
+/// stamps it, as<T> checks it, the wire codec encodes by it. A frame may
+/// carry any kind under any (protocol, type), so as<T> returns null on a
+/// mismatch and every reader drops such a body like an unknown type.
+/// Frames carry no label, so a decoded message's label is empty.
 
 namespace ecfd {
 
@@ -29,16 +34,50 @@ class MetricsRegistry;
 /// Identifies a protocol instance across all hosts; see protocol_ids.hpp.
 using ProtocolId = int;
 
+/// The name of a body type. Each body states its kind once, as a
+/// `static constexpr PayloadKind kKind` member or a kind_of specialization
+/// below, so Message::make<T> of a type without one does not compile.
+/// Values are part of the wire format: never renumber, only append.
+enum class PayloadKind : std::uint16_t {
+  kNone = 0,         ///< Message::make_empty
+  kProcessSet = 1,   ///< c_to_p list, efficient_p leader list, w_to_s suspects
+  kU64Vector = 2,    ///< stable_leader counters, omega_from_s count rows
+  kRingBody = 3,     ///< fd::RingFd::Body (QUERY/REPLY circulated state)
+  kEstimate = 4,     ///< consensus::EstimateBody
+  kPropose = 5,      ///< consensus::ProposeBody
+  kRoundOnly = 6,    ///< consensus::RoundOnly (announce/null/ack/nack)
+  kDecide = 7,       ///< consensus::DecideBody (usually nested in kRbEnvelope)
+  kRbEnvelope = 8,   ///< broadcast::RbEnvelope (carries a nested payload)
+  kI64 = 9,          ///< plain std::int64_t (application values over RB)
+  kKvRequest = 10,   ///< kv::Request (client -> server envelope)
+  kKvReply = 11,     ///< kv::Reply (server -> client envelope)
+  kKvBatch = 12,     ///< kv::BatchBody (replicated command batch, over RB)
+  kKvSnapshot = 13,  ///< kv::SnapshotChunk (store snapshot transfer)
+  kHierDigest = 14,  ///< fd::HierDigest (no wire encoding yet)
+  kSwimBody = 15,    ///< fd::SwimBody (no wire encoding yet)
+};
+
+template <class T>
+inline constexpr PayloadKind kind_of = T::kKind;
+template <>
+inline constexpr PayloadKind kind_of<ProcessSet> = PayloadKind::kProcessSet;
+template <>
+inline constexpr PayloadKind kind_of<std::vector<std::uint64_t>> =
+    PayloadKind::kU64Vector;
+template <>
+inline constexpr PayloadKind kind_of<std::int64_t> = PayloadKind::kI64;
+
 struct Message {
   ProcessId src{kNoProcess};
   ProcessId dst{kNoProcess};
   ProtocolId protocol{0};
   int type{0};
-  /// Human-readable message label ("cons_c.estimate") used for counters.
+  /// Human-readable message label ("cons_c.estimate") used for the
+  /// sender's counters; empty on a decoded message.
   const char* label{""};
 
   std::shared_ptr<const void> payload{};
-  const std::type_info* payload_type{nullptr};
+  PayloadKind payload_kind{PayloadKind::kNone};
 
   /// Builds a message with a typed payload. The body comes from the
   /// per-type freelist (payload_pool.hpp) and is shared, never copied, by
@@ -51,7 +90,7 @@ struct Message {
     m.protocol = protocol;
     m.type = type;
     m.label = label;
-    m.payload_type = &typeid(T);
+    m.payload_kind = kind_of<T>;
     m.payload = make_pooled_payload<T>(std::move(body));
     return m;
   }
@@ -65,17 +104,12 @@ struct Message {
     return m;
   }
 
-  /// Typed payload access; asserts on type mismatch (a protocol decoding a
-  /// message with the wrong body is a programming error, not a runtime
-  /// condition).
+  /// The payload as a T, or null when it is of another kind (or absent).
   template <class T>
-  const T& as() const {
-    assert(payload && payload_type && *payload_type == typeid(T) &&
-           "message payload type mismatch");
-    return *static_cast<const T*>(payload.get());
+  const T* as() const {
+    return payload_kind == kind_of<T> ? static_cast<const T*>(payload.get())
+                                      : nullptr;
   }
-
-  [[nodiscard]] bool has_payload() const { return payload != nullptr; }
 };
 
 /// Counter key for a message: "msg.<label>", or "msg.proto<P>.type<T>"
@@ -89,9 +123,8 @@ std::string message_counter_key(const Message& m);
 /// key, and the digests hash the key set).
 ///
 /// A counter is registered on its first message and bumped directly after
-/// that, found by the label's address (labels are string literals or
-/// interned by the codec, so the address is stable), or by (protocol, type)
-/// for an unlabeled message. One thread counts (the simulator, or the
+/// that, found by the label's address (labels are string literals, so the
+/// address is stable), or by (protocol, type) for an unlabeled message. One thread counts (the simulator, or the
 /// DgramEnv's event loop).
 class MessageCounters {
  public:

@@ -1,9 +1,6 @@
 #include "wire/codec.hpp"
 
 #include <memory>
-#include <mutex>
-#include <typeindex>
-#include <unordered_set>
 #include <vector>
 
 #include "broadcast/reliable_broadcast.hpp"
@@ -30,16 +27,6 @@ constexpr int kMaxNesting = 4;  ///< RbEnvelope payloads nest one level deep
 bool set_error(std::string* error, const char* reason) {
   if (error) *error = reason;
   return false;
-}
-
-/// Message::label is a `const char*` that protocols treat as static; a
-/// decoded label comes off the wire, so it is interned here once and the
-/// pooled c_str handed out forever after.
-const char* intern_label(const std::string& s) {
-  static std::mutex mu;
-  static std::unordered_set<std::string> pool;
-  std::lock_guard<std::mutex> lock(mu);
-  return pool.insert(s).first->c_str();
 }
 
 // --- payload encoders -----------------------------------------------------
@@ -223,85 +210,90 @@ bool decode_kv_snapshot(WireReader& r, kv::SnapshotChunk* out,
   return r.ok();
 }
 
-/// Flattens one typed payload; returns false for types not in the registry.
-bool encode_payload(const std::type_info* type, const void* body,
-                    PayloadKind* kind, WireWriter& w, std::string* error) {
-  if (type == nullptr || body == nullptr) {
-    *kind = PayloadKind::kNone;
-    return true;
-  }
-  const std::type_index t(*type);
-  if (t == std::type_index(typeid(ProcessSet))) {
-    *kind = PayloadKind::kProcessSet;
-    encode_process_set(*static_cast<const ProcessSet*>(body), w);
-  } else if (t == std::type_index(typeid(std::vector<std::uint64_t>))) {
-    *kind = PayloadKind::kU64Vector;
-    encode_u64_vector(*static_cast<const std::vector<std::uint64_t>*>(body), w);
-  } else if (t == std::type_index(typeid(RingBody))) {
-    *kind = PayloadKind::kRingBody;
-    const auto& b = *static_cast<const RingBody*>(body);
-    encode_u64_vector(b.seq, w);
-    encode_process_set(b.susp, w);
-  } else if (t == std::type_index(typeid(EstimateBody))) {
-    *kind = PayloadKind::kEstimate;
-    const auto& b = *static_cast<const EstimateBody*>(body);
-    w.i32(b.round);
-    w.i64(b.value);
-    w.i32(b.ts);
-  } else if (t == std::type_index(typeid(ProposeBody))) {
-    *kind = PayloadKind::kPropose;
-    const auto& b = *static_cast<const ProposeBody*>(body);
-    w.i32(b.round);
-    w.i64(b.value);
-  } else if (t == std::type_index(typeid(RoundOnly))) {
-    *kind = PayloadKind::kRoundOnly;
-    w.i32(static_cast<const RoundOnly*>(body)->round);
-  } else if (t == std::type_index(typeid(DecideBody))) {
-    *kind = PayloadKind::kDecide;
-    const auto& b = *static_cast<const DecideBody*>(body);
-    w.i32(b.round);
-    w.i64(b.value);
-  } else if (t == std::type_index(typeid(std::int64_t))) {
-    *kind = PayloadKind::kI64;
-    w.i64(*static_cast<const std::int64_t*>(body));
-  } else if (t == std::type_index(typeid(kv::Request))) {
-    *kind = PayloadKind::kKvRequest;
-    encode_kv_request(*static_cast<const kv::Request*>(body), w);
-  } else if (t == std::type_index(typeid(kv::Reply))) {
-    *kind = PayloadKind::kKvReply;
-    encode_kv_reply(*static_cast<const kv::Reply*>(body), w);
-  } else if (t == std::type_index(typeid(kv::BatchBody))) {
-    *kind = PayloadKind::kKvBatch;
-    encode_kv_batch(*static_cast<const kv::BatchBody*>(body), w);
-  } else if (t == std::type_index(typeid(kv::SnapshotChunk))) {
-    *kind = PayloadKind::kKvSnapshot;
-    encode_kv_snapshot(*static_cast<const kv::SnapshotChunk*>(body), w);
-  } else if (t == std::type_index(typeid(RbEnvelope))) {
-    *kind = PayloadKind::kRbEnvelope;
-    const auto& e = *static_cast<const RbEnvelope*>(body);
-    w.i32(e.origin);
-    w.u64(e.seq);
-    w.i32(e.tag);
-    PayloadKind inner{};
-    WireWriter nested;
-    if (!encode_payload(e.body_type, e.body.get(), &inner, nested, error)) {
-      return false;
+/// Flattens one payload by its kind; returns false for a kind with no wire
+/// encoding.
+bool encode_payload(PayloadKind kind, const void* body, WireWriter& w,
+                    std::string* error) {
+  switch (kind) {
+    case PayloadKind::kNone:
+      return true;
+    case PayloadKind::kProcessSet:
+      encode_process_set(*static_cast<const ProcessSet*>(body), w);
+      return true;
+    case PayloadKind::kU64Vector:
+      encode_u64_vector(*static_cast<const std::vector<std::uint64_t>*>(body),
+                        w);
+      return true;
+    case PayloadKind::kRingBody: {
+      const auto& b = *static_cast<const RingBody*>(body);
+      encode_u64_vector(b.seq, w);
+      encode_process_set(b.susp, w);
+      return true;
     }
-    w.u16(static_cast<std::uint16_t>(inner));
-    w.u32(static_cast<std::uint32_t>(nested.size()));
-    w.bytes(nested.data().data(), nested.size());
-  } else {
-    return set_error(error, "payload type not in wire registry");
+    case PayloadKind::kEstimate: {
+      const auto& b = *static_cast<const EstimateBody*>(body);
+      w.i32(b.round);
+      w.i64(b.value);
+      w.i32(b.ts);
+      return true;
+    }
+    case PayloadKind::kPropose: {
+      const auto& b = *static_cast<const ProposeBody*>(body);
+      w.i32(b.round);
+      w.i64(b.value);
+      return true;
+    }
+    case PayloadKind::kRoundOnly:
+      w.i32(static_cast<const RoundOnly*>(body)->round);
+      return true;
+    case PayloadKind::kDecide: {
+      const auto& b = *static_cast<const DecideBody*>(body);
+      w.i32(b.round);
+      w.i64(b.value);
+      return true;
+    }
+    case PayloadKind::kI64:
+      w.i64(*static_cast<const std::int64_t*>(body));
+      return true;
+    case PayloadKind::kKvRequest:
+      encode_kv_request(*static_cast<const kv::Request*>(body), w);
+      return true;
+    case PayloadKind::kKvReply:
+      encode_kv_reply(*static_cast<const kv::Reply*>(body), w);
+      return true;
+    case PayloadKind::kKvBatch:
+      encode_kv_batch(*static_cast<const kv::BatchBody*>(body), w);
+      return true;
+    case PayloadKind::kKvSnapshot:
+      encode_kv_snapshot(*static_cast<const kv::SnapshotChunk*>(body), w);
+      return true;
+    case PayloadKind::kRbEnvelope: {
+      const auto& e = *static_cast<const RbEnvelope*>(body);
+      w.i32(e.origin);
+      w.u64(e.seq);
+      w.i32(e.tag);
+      WireWriter nested;
+      if (!encode_payload(e.body_kind, e.body.get(), nested, error)) {
+        return false;
+      }
+      w.u16(static_cast<std::uint16_t>(e.body_kind));
+      w.u32(static_cast<std::uint32_t>(nested.size()));
+      w.bytes(nested.data().data(), nested.size());
+      return true;
+    }
+    case PayloadKind::kHierDigest:
+    case PayloadKind::kSwimBody:
+      break;
   }
-  return true;
+  return set_error(error, "payload kind has no wire encoding");
 }
 
 // --- payload decoders -----------------------------------------------------
 
-/// Decoded payload: an owning pointer plus the typeid Message::as<T> checks.
+/// Decoded payload: an owning pointer plus the kind Message::as<T> checks.
 struct DecodedPayload {
   std::shared_ptr<const void> body;
-  const std::type_info* type{nullptr};
+  PayloadKind kind{PayloadKind::kNone};
 };
 
 bool decode_payload(PayloadKind kind, WireReader& r, int depth,
@@ -345,7 +337,7 @@ bool decode_u64_vector(WireReader& r, std::vector<std::uint64_t>* out,
 template <class T>
 void emplace_payload(DecodedPayload* out, T body) {
   out->body = std::make_shared<const T>(std::move(body));
-  out->type = &typeid(T);
+  out->kind = kind_of<T>;
 }
 
 bool decode_payload(PayloadKind kind, WireReader& r, int depth,
@@ -353,8 +345,6 @@ bool decode_payload(PayloadKind kind, WireReader& r, int depth,
   if (depth > kMaxNesting) return set_error(error, "payload nesting too deep");
   switch (kind) {
     case PayloadKind::kNone:
-      out->body = nullptr;
-      out->type = nullptr;
       return true;
     case PayloadKind::kProcessSet: {
       ProcessSet s;
@@ -450,10 +440,13 @@ bool decode_payload(PayloadKind kind, WireReader& r, int depth,
       DecodedPayload nested;
       if (!decode_payload(inner, r, depth + 1, &nested, error)) return false;
       e.body = std::move(nested.body);
-      e.body_type = nested.type;
+      e.body_kind = nested.kind;
       emplace_payload(out, std::move(e));
       return true;
     }
+    case PayloadKind::kHierDigest:
+    case PayloadKind::kSwimBody:
+      return set_error(error, "payload kind has no wire encoding");
   }
   return set_error(error, "unknown payload kind");
 }
@@ -471,16 +464,12 @@ bool encode_message(const Message& m, std::vector<std::uint8_t>* out,
   w.i32(m.dst);
   w.i32(m.protocol);
   w.i32(m.type);
-  std::string label(m.label == nullptr ? "" : m.label);
-  if (label.size() > kMaxLabelBytes) label.resize(kMaxLabelBytes);
-  w.str(label);
 
   WireWriter payload;
-  PayloadKind kind{};
-  if (!encode_payload(m.payload_type, m.payload.get(), &kind, payload, error)) {
+  if (!encode_payload(m.payload_kind, m.payload.get(), payload, error)) {
     return false;
   }
-  w.u16(static_cast<std::uint16_t>(kind));
+  w.u16(static_cast<std::uint16_t>(m.payload_kind));
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.bytes(payload.data().data(), payload.size());
 
@@ -531,10 +520,6 @@ std::optional<Message> decode_message(const std::uint8_t* data,
     return fail("bad frame header");
   }
 
-  const std::string label = r.str();
-  if (!r.ok() || label.size() > kMaxLabelBytes) return fail("bad label");
-  m.label = intern_label(label);
-
   const auto kind = static_cast<PayloadKind>(r.u16());
   const std::uint32_t payload_len = r.u32();
   if (!r.ok() || payload_len != r.remaining()) {
@@ -549,7 +534,7 @@ std::optional<Message> decode_message(const std::uint8_t* data,
   }
   if (!r.ok() || !r.exhausted()) return fail("trailing payload bytes");
   m.payload = std::move(payload.body);
-  m.payload_type = payload.type;
+  m.payload_kind = payload.kind;
   return m;
 }
 

@@ -19,22 +19,29 @@
 ///    trailing garbage, length mismatches and checksum failures — it never
 ///    crashes or reads out of bounds on corrupt input (fuzzed in
 ///    tests/test_wire_codec.cpp);
-///  * payloads are tagged with a PayloadKind drawn from a closed registry of
-///    the body types the protocols in this library actually send (mirrors
-///    the closed protocol-id registry in net/protocol_ids.hpp). Every typed
-///    payload a protocol passes to Env::send must have a kind here — the
-///    codec is the one place that knows how to flatten them;
-///  * decoded labels are interned so Message::label keeps its
-///    static-lifetime `const char*` contract.
+///  * the payload is tagged with the PayloadKind the message already
+///    carries (net/message.hpp), the one registry of body types; the codec
+///    switches on it and is the one place that knows how to flatten each
+///    body. kHierDigest and kSwimBody have no encoding yet, so an encode of
+///    them fails;
+///  * frames carry no label: the sender counts by label in process, so a
+///    decoded message's label is empty.
+///
+/// Layout of version 2 (v1 also carried a u16-length label after `type`;
+/// the two versions do not interoperate, and a v1 frame fails to decode):
+///
+///   u16 magic | u8 version | u8 flags | [u64 causal seq] |
+///   i32 src | i32 dst | i32 protocol | i32 type |
+///   u16 kind | u32 payload length | payload | u32 CRC-32
 
 namespace ecfd::wire {
 
 /// Frame-format constants (bump kVersion on any layout change).
 inline constexpr std::uint16_t kMagic = 0xECFD;
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 
 /// Frame flag bits (byte 3 of the header). A set bit changes the layout
-/// right after the flags byte, so unknown bits are rejected — a v1 decoder
+/// right after the flags byte, so unknown bits are rejected — a decoder
 /// without this table cannot skip fields it does not know the width of.
 /// kFlagCausalSeq inserts a u64 per-sender send sequence number used by
 /// ecfd_trace to stitch true happens-before send->deliver edges across
@@ -46,31 +53,11 @@ inline constexpr std::uint8_t kKnownFlags = kFlagCausalSeq;
 /// Hard bounds enforced by decode: anything larger is rejected, so a
 /// corrupt length field can never cause a huge allocation.
 inline constexpr std::size_t kMaxFrameBytes = 64 * 1024;
-inline constexpr std::size_t kMaxLabelBytes = 64;
 inline constexpr std::uint32_t kMaxElements = 1u << 16;  ///< vector/set caps
 inline constexpr int kMaxUniverse = 1 << 16;             ///< max ProcessSet n
 
-/// Wire tags for every payload type protocols send. Values are part of the
-/// wire format — never renumber, only append.
-enum class PayloadKind : std::uint16_t {
-  kNone = 0,        ///< Message::make_empty
-  kProcessSet = 1,  ///< c_to_p list, efficient_p leader list, w_to_s suspects
-  kU64Vector = 2,   ///< stable_leader counters, omega_from_s count rows
-  kRingBody = 3,    ///< fd/ring_fd QUERY/REPLY circulated state
-  kEstimate = 4,    ///< consensus::EstimateBody
-  kPropose = 5,     ///< consensus::ProposeBody
-  kRoundOnly = 6,   ///< consensus::RoundOnly (announce/null/ack/nack)
-  kDecide = 7,      ///< consensus::DecideBody (usually nested in kRbEnvelope)
-  kRbEnvelope = 8,  ///< broadcast::RbEnvelope (carries a nested payload)
-  kI64 = 9,         ///< plain std::int64_t (application values over RB)
-  kKvRequest = 10,  ///< kv::Request (client -> server envelope)
-  kKvReply = 11,    ///< kv::Reply (server -> client envelope)
-  kKvBatch = 12,    ///< kv::BatchBody (replicated command batch, over RB)
-  kKvSnapshot = 13, ///< kv::SnapshotChunk (store snapshot transfer)
-};
-
 /// Encodes \p m into a self-contained frame. Returns false (and sets
-/// \p error when non-null) if the payload type is not in the registry.
+/// \p error when non-null) if its payload kind has no wire encoding.
 /// \p causal_seq, when nonzero, sets kFlagCausalSeq and embeds the
 /// sender's send sequence number (sequences start at 1; 0 = untagged).
 bool encode_message(const Message& m, std::vector<std::uint8_t>* out,

@@ -18,6 +18,7 @@
 #include <chrono>
 #include <thread>
 
+#include "consensus/bodies.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "net/payload_pool.hpp"
 #include "net/scenario.hpp"
@@ -76,10 +77,7 @@ TEST(AllocCounting, SteadyStateCancelIsAllocationFree) {
   EXPECT_EQ(sim::alloc_count(), before);
 }
 
-struct Body {
-  int a{0};
-  int b{0};
-};
+using Body = consensus::ProposeBody;
 
 TEST(AllocCounting, SteadyStateNetworkTrafficIsAllocationFree) {
   ScenarioConfig cfg;

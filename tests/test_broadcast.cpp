@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace ecfd::broadcast {
@@ -11,7 +12,7 @@ namespace {
 struct RbWorld {
   std::unique_ptr<System> sys;
   std::vector<ReliableBroadcast*> rb;
-  std::vector<std::vector<std::string>> delivered;  // per process
+  std::vector<std::vector<std::int64_t>> delivered;  // per process
 };
 
 RbWorld make(int n, std::uint64_t seed, ScenarioConfig cfg = {}) {
@@ -23,7 +24,9 @@ RbWorld make(int n, std::uint64_t seed, ScenarioConfig cfg = {}) {
   for (ProcessId p = 0; p < n; ++p) {
     auto& rb = s.sys->host(p).emplace<ReliableBroadcast>();
     rb.set_deliver([&s, p](const RbEnvelope& e) {
-      s.delivered[static_cast<std::size_t>(p)].push_back(e.as<std::string>());
+      const auto* value = e.as<std::int64_t>();
+      ASSERT_NE(value, nullptr);
+      s.delivered[static_cast<std::size_t>(p)].push_back(*value);
     });
     s.rb.push_back(&rb);
   }
@@ -33,18 +36,18 @@ RbWorld make(int n, std::uint64_t seed, ScenarioConfig cfg = {}) {
 
 TEST(ReliableBroadcast, ValidityAllCorrectDeliver) {
   RbWorld s = make(4, 1);
-  s.rb[0]->r_broadcast(1, std::string("hello"));
+  s.rb[0]->r_broadcast(1, std::int64_t{4242});
   s.sys->run_until(sec(1));
   for (int p = 0; p < 4; ++p) {
     ASSERT_EQ(s.delivered[p].size(), 1u) << "process " << p;
-    EXPECT_EQ(s.delivered[p][0], "hello");
+    EXPECT_EQ(s.delivered[p][0], 4242);
   }
 }
 
 TEST(ReliableBroadcast, UniformIntegrityNoDuplicates) {
   RbWorld s = make(5, 2);
-  s.rb[1]->r_broadcast(1, std::string("x"));
-  s.rb[1]->r_broadcast(1, std::string("y"));
+  s.rb[1]->r_broadcast(1, std::int64_t{1});
+  s.rb[1]->r_broadcast(1, std::int64_t{2});
   s.sys->run_until(sec(1));
   for (int p = 0; p < 5; ++p) {
     EXPECT_EQ(s.delivered[p].size(), 2u);
@@ -53,7 +56,7 @@ TEST(ReliableBroadcast, UniformIntegrityNoDuplicates) {
 
 TEST(ReliableBroadcast, LocalDeliveryIsImmediate) {
   RbWorld s = make(3, 3);
-  s.rb[2]->r_broadcast(7, std::string("self"));
+  s.rb[2]->r_broadcast(7, std::int64_t{7});
   // No simulation time elapsed: the broadcaster has already delivered.
   EXPECT_EQ(s.delivered[2].size(), 1u);
 }
@@ -64,7 +67,7 @@ TEST(ReliableBroadcast, AgreementUnderLossyLinksViaDiffusion) {
   cfg.loss_p = 0.4;
   cfg.force_deliver_every = 5;
   RbWorld s = make(5, 4, cfg);
-  s.rb[0]->r_broadcast(1, std::string("m"));
+  s.rb[0]->r_broadcast(1, std::int64_t{1});
   s.sys->run_until(sec(2));
   // Diffusion: everyone relays on first receipt, so even heavy loss cannot
   // keep a correct process from delivering (n*(n-1) chances).
@@ -75,7 +78,7 @@ TEST(ReliableBroadcast, AgreementUnderLossyLinksViaDiffusion) {
 
 TEST(ReliableBroadcast, AgreementWhenOriginCrashesAfterSending) {
   RbWorld s = make(4, 5);
-  s.rb[3]->r_broadcast(1, std::string("last words"));
+  s.rb[3]->r_broadcast(1, std::int64_t{-1});
   s.sys->crash_now(3);  // crashes right after broadcasting
   s.sys->run_until(sec(1));
   for (int p = 0; p < 3; ++p) {
@@ -86,7 +89,7 @@ TEST(ReliableBroadcast, AgreementWhenOriginCrashesAfterSending) {
 TEST(ReliableBroadcast, CrashedProcessDoesNotDeliver) {
   RbWorld s = make(3, 6);
   s.sys->crash_now(2);
-  s.rb[0]->r_broadcast(1, std::string("m"));
+  s.rb[0]->r_broadcast(1, std::int64_t{1});
   s.sys->run_until(sec(1));
   EXPECT_TRUE(s.delivered[2].empty());
 }
@@ -94,7 +97,7 @@ TEST(ReliableBroadcast, CrashedProcessDoesNotDeliver) {
 TEST(ReliableBroadcast, ManyBroadcastsAllArrive) {
   RbWorld s = make(4, 7);
   for (int i = 0; i < 20; ++i) {
-    s.rb[i % 4]->r_broadcast(1, std::string("m") + std::to_string(i));
+    s.rb[i % 4]->r_broadcast(1, std::int64_t{i});
   }
   s.sys->run_until(sec(2));
   for (int p = 0; p < 4; ++p) {
@@ -117,7 +120,7 @@ TEST(ReliableBroadcast, EnvelopeCarriesOriginAndTag) {
   auto& rb1 = sys->host(1).emplace<ReliableBroadcast>();
   rb1.set_deliver([](const RbEnvelope&) {});
   sys->start();
-  rb1.r_broadcast(42, std::string("z"));
+  rb1.r_broadcast(42, std::int64_t{0});
   sys->run_until(sec(1));
   EXPECT_EQ(got_origin, 1);
   EXPECT_EQ(got_tag, 42);

@@ -245,6 +245,23 @@ TEST(ConsensusC, DuelingCoordinatorsDoNotDeadlock) {
   expect_all_good(r, "dueling coordinators (seed 504)");
 }
 
+TEST(ConsensusC, MergedPhase01WaitsForAnUnsuspectedLeader) {
+  // Before it stabilizes, efficient_p can trust a process its own output
+  // still suspects (◇C promises only that the trusted process is
+  // eventually unsuspected). Merged Phase 0 used to join it anyway; Phase 3
+  // then nacked at once and entered the next round at the same virtual
+  // instant, n messages per round, until memory ran out. Under the round
+  // cap that run gave up undecided; waiting in Phase 0 decides. This is
+  // `ecfd_sim --n 8 --fd effp --algo c-merged --max-rounds 50`.
+  auto cfg = base(8, 1);
+  cfg.scenario.pre_gst_max = msec(300);
+  cfg.algo = Algo::kEcfdCMerged;
+  cfg.fd = FdStack::kEfficientP;
+  cfg.max_rounds = 50;
+  auto r = run_consensus(cfg);
+  expect_all_good(r, "merged phases on efficient_p");
+}
+
 TEST(ConsensusC, MaxRoundsGivesUpCleanly) {
   // A detector that never stabilizes (chaos forever = stable_at beyond
   // horizon) with the round cap: nobody may decide, and safety holds.

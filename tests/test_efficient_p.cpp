@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fd_test_util.hpp"
+#include "net/protocol_ids.hpp"
 #include "scenario_util.hpp"
 
 namespace ecfd {
@@ -80,6 +81,40 @@ TEST(EfficientP, LeaderFlagFollowsElection) {
   EXPECT_TRUE(fds[1]->acting_leader());
   EXPECT_FALSE(fds[2]->acting_leader());
   EXPECT_TRUE(fds[1]->suspected().contains(0));
+}
+
+TEST(EfficientP, ListsOverAnotherUniverseAreIgnored) {
+  // An effp.leader list over a universe of 1, sent by the candidate every
+  // process trusts (a forged UDP frame can carry one), must leave every
+  // output as it was; adopting it once aborted on ProcessSet::remove's
+  // range assert.
+  const int n = 3;
+  auto cfg = base_scenario(n, 7);
+  cfg.gst = 0;
+  auto sys = make_system(cfg);
+  std::vector<fd::EfficientP*> fds;
+  for (ProcessId p = 0; p < n; ++p) {
+    fds.push_back(&sys->host(p).emplace<fd::EfficientP>());
+  }
+  sys->start();
+  sys->run_until(sec(2));
+  std::vector<ProcessSet> before;
+  for (const fd::EfficientP* f : fds) before.push_back(f->suspected());
+  ProcessSet forged_list(1);
+  forged_list.add(0);
+  for (ProcessId p = 1; p < n; ++p) {
+    Message forged = Message::make(protocol_ids::kEfficientP, /*list=*/1,
+                                   "effp.leader", forged_list);
+    forged.src = 0;
+    forged.dst = p;
+    sys->network().send(forged);
+  }
+  sys->run_for(msec(100));  // past the largest link delay
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(fds[p]->suspected(), before[p]) << "p" << p;
+    EXPECT_EQ(fds[p]->suspected().universe_size(), n) << "p" << p;
+    EXPECT_EQ(fds[p]->trusted(), 0) << "p" << p;
+  }
 }
 
 struct SweepParam {

@@ -60,7 +60,8 @@ TEST(Envelope, RoundTripsEveryFrameIntact) {
       const auto m = decode_message((*views)[static_cast<std::size_t>(i)].data,
                                     (*views)[static_cast<std::size_t>(i)].len);
       ASSERT_TRUE(m.has_value());
-      EXPECT_EQ(m->as<std::int64_t>(), 1000 + i);
+      ASSERT_NE(m->as<std::int64_t>(), nullptr);
+      EXPECT_EQ(*m->as<std::int64_t>(), 1000 + i);
     }
   }
 }
@@ -119,7 +120,8 @@ TEST(EnvelopeFuzz, BitFlipInEveryByteRejectsOrDropsOnlyInnerFrames) {
       for (const auto& v : *views) {
         const auto m = decode_message(v.data, v.len);
         if (!m.has_value()) continue;  // rejected at the frame layer
-        const std::int64_t payload = m->as<std::int64_t>();
+        ASSERT_NE(m->as<std::int64_t>(), nullptr);
+        const std::int64_t payload = *m->as<std::int64_t>();
         EXPECT_TRUE(payload >= 1000 && payload <= 1002)
             << "byte " << i << " bit " << bit
             << " delivered corrupted payload " << payload;

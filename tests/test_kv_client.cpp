@@ -80,8 +80,8 @@ class Responder {
                                   reinterpret_cast<sockaddr*>(&from), &len);
       if (got <= 0) continue;
       auto m = wire::decode_message(buf, static_cast<std::size_t>(got));
-      if (!m || m->type != kMsgClientRequest) continue;
-      const Request& req = m->as<Request>();
+      if (!m || m->type != kMsgClientRequest || !m->as<Request>()) continue;
+      const Request& req = *m->as<Request>();
       const std::optional<Status> status = script_(requests_++);
       if (!status) continue;
 

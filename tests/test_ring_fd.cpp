@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "fd_test_util.hpp"
+#include "net/protocol_ids.hpp"
 #include "scenario_util.hpp"
 
 namespace ecfd {
@@ -81,6 +82,46 @@ TEST(RingFd, TargetSkipsSuspectedProcesses) {
   sys->run_until(sec(3));
   EXPECT_EQ(rings[0]->target(), 2) << "p0 must skip crashed p1";
   EXPECT_TRUE(rings[0]->suspected().contains(1));
+}
+
+TEST(RingFd, BodiesOfAnotherSizeAreIgnored) {
+  // A ring.query whose sequence vector or suspect set is not over n
+  // processes (a forged UDP frame can carry one) must leave every output
+  // as it was; merging a one-element vector once read past its end.
+  const int n = 3;
+  ScenarioConfig cfg = base_scenario(n, 6);
+  cfg.gst = 0;
+  auto sys = make_system(cfg);
+  std::vector<fd::RingFd*> rings;
+  for (ProcessId p = 0; p < n; ++p) {
+    rings.push_back(&sys->host(p).emplace<fd::RingFd>());
+  }
+  sys->start();
+  sys->run_until(sec(2));
+  std::vector<ProcessSet> before;
+  for (const fd::RingFd* r : rings) before.push_back(r->suspected());
+
+  fd::RingFd::Body short_seq;
+  short_seq.seq = {~std::uint64_t{0}};
+  short_seq.susp = ProcessSet::full(n);
+  fd::RingFd::Body small_universe;
+  small_universe.seq.assign(n, ~std::uint64_t{0});
+  small_universe.susp = ProcessSet::full(1);
+  for (const fd::RingFd::Body& body : {short_seq, small_universe}) {
+    for (ProcessId p = 1; p < n; ++p) {
+      Message forged = Message::make(protocol_ids::kRingFd, /*query=*/1,
+                                     "ring.query", body);
+      forged.src = 0;
+      forged.dst = p;
+      sys->network().send(forged);
+    }
+  }
+  sys->run_for(msec(100));  // past the largest link delay
+  for (ProcessId p = 0; p < n; ++p) {
+    EXPECT_EQ(rings[p]->suspected(), before[p]) << "p" << p;
+    EXPECT_EQ(rings[p]->suspected().universe_size(), n) << "p" << p;
+    EXPECT_EQ(rings[p]->trusted(), 0) << "p" << p;
+  }
 }
 
 struct SweepParam {

@@ -11,17 +11,25 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "broadcast/reliable_broadcast.hpp"
+#include "consensus/bodies.hpp"
 #include "consensus/fd_stacks.hpp"
+#include "core/consensus_c.hpp"
+#include "core/replicated_log.hpp"
 #include "fd/heartbeat_p.hpp"
+#include "fd/ring_fd.hpp"
+#include "kv/service.hpp"
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
 #include "transport/node_config.hpp"
@@ -332,6 +340,235 @@ TEST(SocketTransport, SimulatorAndUdpCountTheSameMessageNames) {
   }
   EXPECT_EQ(udp_names, sim_names);
   EXPECT_EQ(sim_names.count("msg.sl.ok.sent"), 1u);
+}
+
+// --- forged frames ---------------------------------------------------------
+//
+// Any UDP sender can put any body kind under any (protocol, type), and a
+// set or vector over any number of processes. Every reader must drop what
+// it cannot use, as it drops an unknown message type.
+
+/// A raw socket aimed at one loopback port: a sender outside the cluster.
+class RawSender {
+ public:
+  explicit RawSender(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_DGRAM, 0)) {
+    to_.sin_family = AF_INET;
+    to_.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &to_.sin_addr);
+    timeval tv{5, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~RawSender() { ::close(fd_); }
+  RawSender(const RawSender&) = delete;
+  RawSender& operator=(const RawSender&) = delete;
+
+  void send(const Message& m) {
+    std::vector<std::uint8_t> frame;
+    ASSERT_TRUE(wire::encode_message(m, &frame));
+    ASSERT_EQ(::sendto(fd_, frame.data(), frame.size(), 0,
+                       reinterpret_cast<const sockaddr*>(&to_), sizeof(to_)),
+              static_cast<ssize_t>(frame.size()));
+  }
+  /// The next datagram this socket receives, decoded; nullopt on timeout.
+  std::optional<Message> receive() {
+    std::uint8_t buf[wire::kMaxFrameBytes];
+    const ssize_t got = ::recv(fd_, buf, sizeof(buf), 0);
+    if (got <= 0) return std::nullopt;
+    return wire::decode_message(buf, static_cast<std::size_t>(got));
+  }
+
+ private:
+  int fd_;
+  sockaddr_in to_{};
+};
+
+/// One body of every kind the codec encodes, over \p n processes, then
+/// sets and vectors over other sizes. Protocol, type and addresses are
+/// filled in per frame.
+std::vector<Message> forged_bodies(int n) {
+  const auto body = [](auto b) { return Message::make(0, 0, "forged", b); };
+  std::vector<Message> out;
+  out.push_back(Message::make_empty(0, 0, "forged"));
+  ProcessSet one_suspect(n);
+  one_suspect.add(n - 1);
+  out.push_back(body(one_suspect));
+  out.push_back(body(std::vector<std::uint64_t>(n, 1)));
+  out.push_back(body(fd::RingFd::Body{std::vector<std::uint64_t>(n, 1),
+                                      one_suspect}));
+  out.push_back(body(consensus::EstimateBody{1, 7, 0}));
+  out.push_back(body(consensus::ProposeBody{1, 7}));
+  out.push_back(body(consensus::RoundOnly{1}));
+  out.push_back(body(consensus::DecideBody{1, 7}));
+  out.push_back(body(std::int64_t{7}));
+  kv::Request request;
+  request.ops.push_back(kv::Op{});
+  out.push_back(body(request));
+  out.push_back(body(kv::Reply{}));
+  kv::BatchBody batch;
+  batch.id = kv::make_batch_id(1, 1);
+  batch.cmds.push_back(kv::Cmd{});
+  out.push_back(body(batch));
+  kv::SnapshotChunk chunk;
+  chunk.total = 1;
+  out.push_back(body(chunk));
+  // Broadcasts carrying each body above, under the tag every RB consumer
+  // reads (consensus decisions and KV batches are both tag 1).
+  const std::size_t flat = out.size();
+  for (std::size_t i = 0; i < flat; ++i) {
+    broadcast::RbEnvelope env;
+    env.origin = 1;
+    env.seq = i + 1;
+    env.tag = 1;
+    env.body = out[i].payload;
+    env.body_kind = out[i].payload_kind;
+    out.push_back(body(env));
+  }
+  // Sizes other than n.
+  out.push_back(body(ProcessSet::full(1)));
+  out.push_back(body(ProcessSet::full(n + 1)));
+  out.push_back(body(std::vector<std::uint64_t>(1, 1)));
+  out.push_back(body(std::vector<std::uint64_t>(n + 1, 1)));
+  out.push_back(body(fd::RingFd::Body{{1}, ProcessSet(n)}));
+  out.push_back(body(fd::RingFd::Body{std::vector<std::uint64_t>(n, 1),
+                                      ProcessSet::full(1)}));
+  return out;
+}
+
+/// Sum of the frames \p env received from peers.
+std::int64_t peer_frames_received(DgramEnv& env) {
+  std::int64_t total = 0;
+  for (ProcessId p = 0; p < env.n(); ++p) {
+    total += env.metrics().get("net.recv.p" + std::to_string(p));
+  }
+  return total;
+}
+
+TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
+  // Node 0 of a 3-node cluster whose peers stay silent runs each udp
+  // stack with ConsensusC and RB, as ecfd_node --consensus does; the
+  // efficient_p node (ecfd_node's default fd) also runs the KV service.
+  // A raw socket then sends, for every (protocol, type) those protocols
+  // handle and from node 0 (the process every stack trusts) and node 1,
+  // one frame per body of forged_bodies().
+  const int n = 3;
+  const std::vector<Message> bodies = forged_bodies(n);
+  std::uint16_t base = 21400;
+  for (const consensus::FdStackInfo& info : consensus::all_fd_stacks()) {
+    if (!info.udp) continue;
+    SCOPED_TRACE(info.name);
+    const auto peers = loopback_peers(n, base);
+    base += n;
+    SocketEnv env(options(0, peers));
+    std::string error;
+    ASSERT_TRUE(env.open(&error)) << error;
+    const auto stack = consensus::install_fd_stack(info.id, env);
+    auto& rb = env.emplace<broadcast::ReliableBroadcast>();
+    auto& cons = env.emplace<core::ConsensusC>(stack.ecfd, &rb);
+    std::vector<ProtocolId> targets;
+    // The KV service as ecfd_node wires it, with a lease after 20 ms of
+    // trusting itself so that node 0 alone can serve a read.
+    std::unique_ptr<core::LogReplica> log;
+    const bool kv = info.id == consensus::FdStack::kEfficientP;
+    if (kv) {
+      core::LogReplica::Config lc;
+      lc.quiescent = true;
+      log = std::make_unique<core::LogReplica>(env, stack.ecfd, lc);
+      auto& batch_rb =
+          env.emplace<broadcast::ReliableBroadcast>(protocol_ids::kKvBatchRb);
+      kv::KvService::Config kc;
+      kc.lease_establish = msec(20);
+      auto& kvs = env.emplace<kv::KvService>(stack.ecfd, log.get(), &batch_rb,
+                                             kc);
+      kvs.set_reply_sink([&env](kv::KvService::Token token,
+                                const kv::Reply& r) {
+        env.send_external(token,
+                          Message::make(protocol_ids::kKvService,
+                                        kv::kMsgClientReply, "kv.reply", r));
+      });
+      env.set_external_handler(
+          [&kvs](DgramEnv::ExternalToken token, const Message& m) {
+            kvs.handle_client(token, m);
+          });
+      // Slot 0's consensus and broadcast instances.
+      targets.push_back(lc.protocol_base);
+      targets.push_back(lc.protocol_base + 1);
+    }
+    for (ProtocolId id = protocol_ids::kHeartbeatP; id <= protocol_ids::kSwim;
+         ++id) {
+      if (env.protocol(id) != nullptr) targets.push_back(id);
+    }
+    // RB last: a forged decision halts consensus, which then reads no more.
+    targets.erase(std::find(targets.begin(), targets.end(),
+                            protocol_ids::kReliableBroadcast));
+    targets.push_back(protocol_ids::kReliableBroadcast);
+    env.start();
+    cons.propose(1);
+    env.run_for(msec(50));
+
+    RawSender raw(peers[0].port);
+    std::int64_t fired = 0;
+    const std::int64_t received_before = peer_frames_received(env);
+    for (const ProtocolId pid : targets) {
+      for (int type = 0; type <= 8; ++type) {
+        for (const ProcessId src : {0, 1}) {
+          for (Message m : bodies) {
+            m.protocol = pid;
+            m.type = type;
+            m.src = src;
+            m.dst = 0;
+            raw.send(m);
+            ++fired;
+          }
+          // Drain before the socket buffer could overflow.
+          env.run_until([&] {
+            return peer_frames_received(env) - received_before >= fired;
+          }, sec(5));
+        }
+      }
+    }
+    EXPECT_EQ(peer_frames_received(env) - received_before, fired);
+    EXPECT_EQ(env.metrics().get("net.decode_error"), 0);
+    if (kv) {
+      // Client frames (no sender id) of every kind but a Request: no reply.
+      for (const Message& body : bodies) {
+        if (body.payload_kind == PayloadKind::kKvRequest) continue;
+        Message m = body;
+        m.protocol = protocol_ids::kKvService;
+        m.type = kv::kMsgClientRequest;
+        m.src = kNoProcess;
+        m.dst = 0;
+        raw.send(m);
+      }
+      env.run_for(msec(50));
+      EXPECT_EQ(env.metrics().get("net.sent_external"), 0);
+      // A real lease read is still answered.
+      kv::Request get;
+      get.session = 1;
+      get.tag = 99;
+      kv::Op op;
+      op.key = "k";
+      get.ops.push_back(op);
+      Message m = Message::make(protocol_ids::kKvService,
+                                kv::kMsgClientRequest, "kv.request", get);
+      m.dst = 0;
+      raw.send(m);
+      EXPECT_TRUE(env.run_until(
+          [&] { return env.metrics().get("net.sent_external") == 1; },
+          sec(5)));
+      const auto reply = raw.receive();
+      ASSERT_TRUE(reply.has_value());
+      const auto* r = reply->as<kv::Reply>();
+      ASSERT_NE(r, nullptr);
+      EXPECT_EQ(r->tag, 99u);
+      EXPECT_EQ(r->status, kv::Status::kOk);
+      EXPECT_EQ(r->results.size(), 1u);
+    }
+    env.run_for(msec(50));  // the stack's timers still run
+    EXPECT_EQ(stack.suspect->suspected().universe_size(), n);
+    EXPECT_EQ(stack.ecfd->suspected().universe_size(), n);
+    EXPECT_GE(stack.ecfd->trusted(), 0);
+    EXPECT_LT(stack.ecfd->trusted(), n);
+  }
 }
 
 TEST(SocketTransport, MisaddressedAndCorruptDatagramsAreCountedNotDelivered) {

@@ -11,6 +11,7 @@
 
 #include "broadcast/reliable_broadcast.hpp"
 #include "consensus/bodies.hpp"
+#include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
@@ -45,8 +46,19 @@ Message roundtrip(const Message& m) {
   EXPECT_EQ(decoded->dst, m.dst);
   EXPECT_EQ(decoded->protocol, m.protocol);
   EXPECT_EQ(decoded->type, m.type);
-  EXPECT_STREQ(decoded->label, m.label);
+  EXPECT_EQ(decoded->payload_kind, m.payload_kind);
+  EXPECT_STREQ(decoded->label, "");  // frames carry no label
   return *decoded;
+}
+
+/// The body of \p holder (a Message or an RbEnvelope) as a T; a body of
+/// another kind fails the test.
+template <class T, class Holder>
+const T& body_of(const Holder& holder) {
+  static const T kMissing{};
+  const T* body = holder.template as<T>();
+  if (body == nullptr) ADD_FAILURE() << "body of another kind";
+  return body != nullptr ? *body : kMissing;
 }
 
 ProcessSet sample_set() {
@@ -68,7 +80,7 @@ TEST(WireCodec, EmptyBodies) {
            {protocol_ids::kCToP, "ctp.alive"},
            {protocol_ids::kEfficientP, "effp.alive"}}) {
     const Message out = roundtrip(base(proto, 1, label));
-    EXPECT_FALSE(out.has_payload());
+    EXPECT_EQ(out.payload, nullptr);
   }
 }
 
@@ -84,16 +96,16 @@ TEST(WireCodec, ProcessSetBodies) {
     m.src = 0;
     m.dst = 1;
     const Message out = roundtrip(m);
-    EXPECT_EQ(out.as<ProcessSet>(), sample_set());
+    EXPECT_EQ(body_of<ProcessSet>(out), sample_set());
   }
 
   // Degenerate sets survive too.
   Message empty = Message::make(protocol_ids::kWToS, 1, "wts.suspects",
                                 ProcessSet(5));
-  EXPECT_EQ(roundtrip(empty).as<ProcessSet>(), ProcessSet(5));
+  EXPECT_EQ(body_of<ProcessSet>(roundtrip(empty)), ProcessSet(5));
   Message full = Message::make(protocol_ids::kWToS, 1, "wts.suspects",
                                ProcessSet::full(64));
-  EXPECT_EQ(roundtrip(full).as<ProcessSet>(), ProcessSet::full(64));
+  EXPECT_EQ(body_of<ProcessSet>(roundtrip(full)), ProcessSet::full(64));
 }
 
 TEST(WireCodec, U64VectorBodies) {
@@ -106,7 +118,7 @@ TEST(WireCodec, U64VectorBodies) {
            {protocol_ids::kOmegaFromS, 1, "ofs.counts"}}) {
     const Message out =
         roundtrip(Message::make(proto, type, label, counters));
-    EXPECT_EQ(out.as<std::vector<std::uint64_t>>(), counters);
+    EXPECT_EQ(body_of<std::vector<std::uint64_t>>(out), counters);
   }
 }
 
@@ -120,7 +132,7 @@ TEST(WireCodec, RingBodies) {
                                                 {2, "ring.reply"}}) {
     const Message out = roundtrip(
         Message::make(protocol_ids::kRingFd, type, label, body));
-    const auto& b = out.as<fd::RingFd::Body>();
+    const auto& b = body_of<fd::RingFd::Body>(out);
     EXPECT_EQ(b.seq, body.seq);
     EXPECT_EQ(b.susp, body.susp);
   }
@@ -131,15 +143,15 @@ TEST(WireCodec, ConsensusBodies) {
   const Message est = roundtrip(Message::make(
       protocol_ids::kConsensusC, 2, "cons_c.estimate",
       consensus::EstimateBody{4, -123456789012345ll, 3}));
-  EXPECT_EQ(est.as<consensus::EstimateBody>().round, 4);
-  EXPECT_EQ(est.as<consensus::EstimateBody>().value, -123456789012345ll);
-  EXPECT_EQ(est.as<consensus::EstimateBody>().ts, 3);
+  EXPECT_EQ(body_of<consensus::EstimateBody>(est).round, 4);
+  EXPECT_EQ(body_of<consensus::EstimateBody>(est).value, -123456789012345ll);
+  EXPECT_EQ(body_of<consensus::EstimateBody>(est).ts, 3);
 
   const Message prop = roundtrip(Message::make(
       protocol_ids::kConsensusCT, 2, "ct.propose",
       consensus::ProposeBody{2, 99}));
-  EXPECT_EQ(prop.as<consensus::ProposeBody>().round, 2);
-  EXPECT_EQ(prop.as<consensus::ProposeBody>().value, 99);
+  EXPECT_EQ(body_of<consensus::ProposeBody>(prop).round, 2);
+  EXPECT_EQ(body_of<consensus::ProposeBody>(prop).value, 99);
 
   for (const auto& [type, label] : std::vector<std::pair<int, const char*>>{
            {1, "cons_c.coord"},
@@ -149,7 +161,7 @@ TEST(WireCodec, ConsensusBodies) {
            {7, "cons_c.nack"}}) {
     const Message out = roundtrip(Message::make(
         protocol_ids::kConsensusC, type, label, consensus::RoundOnly{17}));
-    EXPECT_EQ(out.as<consensus::RoundOnly>().round, 17);
+    EXPECT_EQ(body_of<consensus::RoundOnly>(out).round, 17);
   }
 }
 
@@ -162,17 +174,17 @@ TEST(WireCodec, RbEnvelopeWithNestedDecide) {
   env.tag = 1;
   auto body = std::make_shared<const consensus::DecideBody>(
       consensus::DecideBody{5, 4242});
-  env.body_type = &typeid(consensus::DecideBody);
+  env.body_kind = PayloadKind::kDecide;
   env.body = body;
 
   const Message out = roundtrip(Message::make(
       protocol_ids::kReliableBroadcast, 1, "rb.relay", env));
-  const auto& e = out.as<RbEnvelope>();
+  const auto& e = body_of<RbEnvelope>(out);
   EXPECT_EQ(e.origin, 3);
   EXPECT_EQ(e.seq, 12u);
   EXPECT_EQ(e.tag, 1);
-  EXPECT_EQ(e.as<consensus::DecideBody>().round, 5);
-  EXPECT_EQ(e.as<consensus::DecideBody>().value, 4242);
+  EXPECT_EQ(body_of<consensus::DecideBody>(e).round, 5);
+  EXPECT_EQ(body_of<consensus::DecideBody>(e).value, 4242);
 }
 
 TEST(WireCodec, RbEnvelopeWithScalarAndEmptyBody) {
@@ -181,11 +193,11 @@ TEST(WireCodec, RbEnvelopeWithScalarAndEmptyBody) {
   env.seq = 1;
   env.tag = 7;
   auto body = std::make_shared<const std::int64_t>(31337);
-  env.body_type = &typeid(std::int64_t);
+  env.body_kind = PayloadKind::kI64;
   env.body = body;
   const Message out = roundtrip(Message::make(
       protocol_ids::kReliableBroadcast, 1, "rb.relay", env));
-  EXPECT_EQ(out.as<RbEnvelope>().as<std::int64_t>(), 31337);
+  EXPECT_EQ(body_of<std::int64_t>(body_of<RbEnvelope>(out)), 31337);
 
   RbEnvelope bare;
   bare.origin = 2;
@@ -193,18 +205,26 @@ TEST(WireCodec, RbEnvelopeWithScalarAndEmptyBody) {
   bare.tag = 0;
   const Message out2 = roundtrip(Message::make(
       protocol_ids::kReliableBroadcast, 1, "rb.relay", bare));
-  EXPECT_EQ(out2.as<RbEnvelope>().body, nullptr);
+  EXPECT_EQ(body_of<RbEnvelope>(out2).body, nullptr);
 }
 
 TEST(WireCodec, UnknownPayloadTypeIsAnEncodeError) {
-  struct NotRegistered {
-    int x{0};
-  };
-  const Message m = Message::make(protocol_ids::kTesting, 1, "t.msg",
-                                  NotRegistered{1});
+  // hier_c's digest has a kind but no wire encoding, so it cannot leave
+  // the process, alone or nested in a broadcast.
+  const Message m = Message::make(protocol_ids::kHierC, 1, "hier.cell_beat",
+                                  fd::HierDigest{ProcessSet(4), 0});
   std::vector<std::uint8_t> frame;
   std::string error;
   EXPECT_FALSE(encode_message(m, &frame, &error));
+  EXPECT_FALSE(error.empty());
+
+  RbEnvelope env;
+  env.body_kind = PayloadKind::kHierDigest;
+  env.body = m.payload;
+  error.clear();
+  EXPECT_FALSE(encode_message(
+      Message::make(protocol_ids::kReliableBroadcast, 1, "rb.relay", env),
+      &frame, &error));
   EXPECT_FALSE(error.empty());
 }
 
@@ -248,7 +268,7 @@ TEST(WireCodec, KvRequestRoundTrip) {
   const kv::Request req = sample_kv_request();
   const Message out = roundtrip(Message::make(
       protocol_ids::kKvService, kv::kMsgClientRequest, "kv.request", req));
-  const auto& d = out.as<kv::Request>();
+  const auto& d = body_of<kv::Request>(out);
   EXPECT_EQ(d.version, req.version);
   EXPECT_EQ(d.flags, req.flags);
   EXPECT_EQ(d.session, req.session);
@@ -277,7 +297,7 @@ TEST(WireCodec, KvReplyRoundTrip) {
   rep.results.push_back({kv::Status::kCasMismatch, "current"});
   const Message out = roundtrip(Message::make(
       protocol_ids::kKvService, kv::kMsgClientReply, "kv.reply", rep));
-  const auto& d = out.as<kv::Reply>();
+  const auto& d = body_of<kv::Reply>(out);
   EXPECT_EQ(d.session, 99u);
   EXPECT_EQ(d.tag, 43u);
   EXPECT_EQ(d.status, kv::Status::kOk);
@@ -294,8 +314,8 @@ TEST(WireCodec, KvReplyRoundTrip) {
   redirect.leader_hint = 0;
   const Message out2 = roundtrip(Message::make(
       protocol_ids::kKvService, kv::kMsgClientReply, "kv.reply", redirect));
-  EXPECT_EQ(out2.as<kv::Reply>().status, kv::Status::kNotLeader);
-  EXPECT_TRUE(out2.as<kv::Reply>().results.empty());
+  EXPECT_EQ(body_of<kv::Reply>(out2).status, kv::Status::kNotLeader);
+  EXPECT_TRUE(body_of<kv::Reply>(out2).results.empty());
 }
 
 TEST(WireCodec, KvBatchRoundTripIncludingNestedRbEnvelope) {
@@ -312,7 +332,7 @@ TEST(WireCodec, KvBatchRoundTripIncludingNestedRbEnvelope) {
   }
   const Message out = roundtrip(Message::make(
       protocol_ids::kKvBatchRb, 2, "kv.batch", body));
-  const auto& d = out.as<kv::BatchBody>();
+  const auto& d = body_of<kv::BatchBody>(out);
   EXPECT_EQ(d.id, body.id);
   ASSERT_EQ(d.cmds.size(), 5u);
   EXPECT_EQ(d.cmds[4].key, "k5");
@@ -324,14 +344,14 @@ TEST(WireCodec, KvBatchRoundTripIncludingNestedRbEnvelope) {
   env.origin = 2;
   env.seq = 514;
   env.tag = kv::kRbTagBatch;
-  env.body_type = &typeid(kv::BatchBody);
+  env.body_kind = PayloadKind::kKvBatch;
   env.body = std::make_shared<const kv::BatchBody>(body);
   const Message out2 = roundtrip(Message::make(
       protocol_ids::kKvBatchRb, 1, "rb.relay", env));
-  const auto& e = out2.as<RbEnvelope>();
+  const auto& e = body_of<RbEnvelope>(out2);
   EXPECT_EQ(e.tag, kv::kRbTagBatch);
-  EXPECT_EQ(e.as<kv::BatchBody>().id, body.id);
-  EXPECT_EQ(e.as<kv::BatchBody>().cmds.size(), 5u);
+  EXPECT_EQ(body_of<kv::BatchBody>(e).id, body.id);
+  EXPECT_EQ(body_of<kv::BatchBody>(e).cmds.size(), 5u);
 }
 
 TEST(WireCodec, KvSnapshotChunkRoundTrip) {
@@ -346,7 +366,7 @@ TEST(WireCodec, KvSnapshotChunkRoundTrip) {
   }
   const Message out = roundtrip(Message::make(
       protocol_ids::kKvService, kv::kMsgSnapshotChunk, "kv.snap", chunk));
-  const auto& d = out.as<kv::SnapshotChunk>();
+  const auto& d = body_of<kv::SnapshotChunk>(out);
   EXPECT_EQ(d.snap_id, 3u);
   EXPECT_EQ(d.upto_slot, 128);
   EXPECT_EQ(d.index, 1u);
@@ -373,8 +393,8 @@ TEST(WireCodec, KvSnapshotChunkTotalIsBoundedOnDecode) {
   chunk.index = kMaxElements - 1;
   const Message out = roundtrip(Message::make(
       protocol_ids::kKvService, kv::kMsgSnapshotChunk, "kv.snap", chunk));
-  EXPECT_EQ(out.as<kv::SnapshotChunk>().total, kMaxElements);
-  EXPECT_EQ(out.as<kv::SnapshotChunk>().index, kMaxElements - 1);
+  EXPECT_EQ(body_of<kv::SnapshotChunk>(out).total, kMaxElements);
+  EXPECT_EQ(body_of<kv::SnapshotChunk>(out).index, kMaxElements - 1);
 }
 
 TEST(WireCodec, KvBoundsAreEnforcedOnDecode) {
@@ -395,12 +415,11 @@ TEST(WireCodec, KvBoundsAreEnforcedOnDecode) {
     g[i] = 0xFF;
     fix_crc(g);
     if (auto decoded = decode_message(g)) {
-      if (decoded->has_payload() &&
-          decoded->protocol == protocol_ids::kKvService &&
+      const auto* d = decoded->as<kv::Request>();
+      if (d != nullptr && decoded->protocol == protocol_ids::kKvService &&
           decoded->type == kv::kMsgClientRequest) {
-        const auto& d = decoded->as<kv::Request>();
-        EXPECT_LE(d.ops.size(), kv::kMaxOpsPerRequest);
-        for (const auto& op : d.ops) {
+        EXPECT_LE(d->ops.size(), kv::kMaxOpsPerRequest);
+        for (const auto& op : d->ops) {
           EXPECT_LE(op.key.size(), kv::kMaxKeyBytes);
           EXPECT_LE(op.value.size(), kv::kMaxValueBytes);
           EXPECT_LE(static_cast<int>(op.op),
@@ -453,10 +472,12 @@ TEST(WireCodec, RejectsBadMagicAndVersion) {
   fix_crc(f);
   EXPECT_FALSE(decode_message(f).has_value());
 
-  f = sample_frame();
-  f[2] = kVersion + 1;  // version
-  fix_crc(f);
-  EXPECT_FALSE(decode_message(f).has_value());
+  for (const std::uint8_t version : {kVersion - 1, kVersion + 1}) {
+    f = sample_frame();
+    f[2] = version;  // v1 frames (which carried a label) are rejected too
+    fix_crc(f);
+    EXPECT_FALSE(decode_message(f).has_value());
+  }
 
   f = sample_frame();
   f[3] = 0x80;  // reserved flags must be zero
@@ -566,7 +587,6 @@ TEST(WireCodec, CausalSeqRoundTrips) {
   ASSERT_TRUE(decoded.has_value()) << error;
   EXPECT_EQ(seq, 0xABCDEF12345ULL);
   EXPECT_EQ(decoded->src, m.src);
-  EXPECT_STREQ(decoded->label, m.label);
 
   // A decoder that doesn't care about the tag still accepts the frame.
   EXPECT_TRUE(decode_message(frame).has_value());

@@ -398,10 +398,7 @@ int main(int argc, char** argv) {
     });
     env.set_external_handler(
         [kvs](DgramEnv::ExternalToken token, const Message& m) {
-          if (m.protocol == protocol_ids::kKvService &&
-              m.type == kv::kMsgClientRequest && m.has_payload()) {
-            kvs->handle_request(token, m.as<kv::Request>());
-          }
+          kvs->handle_client(token, m);
         });
   }
 
