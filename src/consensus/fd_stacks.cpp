@@ -34,7 +34,7 @@ const std::vector<FdStackInfo>& all_fd_stacks() {
       {FdStack::kStableLeader, "stable_leader", "stable",
        "ADFT stable Omega; suspects everyone but the leader", true},
       {FdStack::kEcfd, "ecfd", "ecfd",
-       "the paper's stack: stable Omega -> Fig. 2 ◇P, 2(n-1) msgs/period",
+       "the paper's stack: stable Omega -> Fig. 2 ◇P, 3(n-1) msgs/period",
        true},
   };
   return kStacks;
@@ -162,8 +162,8 @@ FdInstallation install_fd_stack(FdStack f, Env& host, const FdTimings& timings,
       break;
     }
     case FdStack::kEcfd: {
-      // The paper's composition: a stable Omega, transformed to ◇P by the
-      // Fig. 2 algorithm (2(n-1) messages per period in total), and
+      // The paper's composition: a stable Omega (n-1 beats per period),
+      // transformed to ◇P by the Fig. 2 algorithm (2(n-1) more), and
       // re-packaged as a ◇C with the transformed (accurate) lists. Both
       // time peers out on predicted deadlines (fd/adaptive_timeout.hpp).
       auto& sl = host.emplace<fd::StableLeader>(

@@ -42,26 +42,35 @@
 /// once `now` passes last arrival + windowed mean inter-arrival + a margin
 /// α_p(q). Before two arrivals have warmed it up, the deadline is the last
 /// arrival (or the restart) + initial_timeout, the fallback. Task 4 widens
-/// α_p(q), and the fallback with it, by timeout_increment.
+/// α_p(q), and the fallback with it, by timeout_increment. Task 3 runs
+/// from one timer at the earliest pending deadline, which every arrival
+/// pushes forward, so a silent q is suspected at its deadline and the list
+/// goes out at once; the list period only paces Task 1.
+///
+/// Output events. A new suspicion, a Task 4 repair and a Task 5 adoption
+/// that change the output call Env::fd_changed(), and so does the
+/// leader's takeover; in turn, when the input detector notifies, the
+/// module takes over or steps down at once. Over an input that does not
+/// notify, the list period is when it notices its role change.
 ///
 /// Takeover rule (how Task 3 starts when a process becomes leader; Fig. 2
 /// leaves it open). A new leader keeps the predictor of the process whose
 /// lists it was adopting — its predecessor, whose lists fed it — and
 /// restarts every other on the fallback: those were reporting to the
 /// predecessor, and it has no evidence about them. A crashed predecessor
-/// is therefore suspected at the first Task 3 check after the takeover,
-/// and failover costs Omega's election plus at most one list period.
+/// is therefore suspected at the takeover, or at its deadline if that is
+/// later, and failover costs Omega's election and nothing more.
 ///
 /// Theorem 1 still holds, with α in place of Δ. Strong completeness: a
 /// crashed process sends nothing, so its predictor's deadline stops
-/// moving; the eventual leader suspects it at its first Task 3 check past
-/// that deadline or past its own takeover's fallback, whichever is later,
-/// and only an I-AM-ALIVE from it could lift that. Eventual strong
-/// accuracy: once Omega has stabilized on a correct leader ℓ everywhere, ℓ
-/// takes over at most once more, so it restarts a predictor at most once
-/// more, and every correct q sends ℓ an I-AM-ALIVE each period. After GST
-/// each reaches ℓ at most B after the previous one, for some unknown bound
-/// B, and the predicted gap is never negative; so a wrong suspicion needs
+/// moving; the eventual leader suspects it at that deadline or at its own
+/// takeover's fallback, whichever is later, and only an I-AM-ALIVE from
+/// it could lift that. Eventual strong accuracy: once Omega has
+/// stabilized on a correct leader ℓ everywhere, ℓ takes over at most
+/// once more, so it restarts a predictor at most once more, and every
+/// correct q sends ℓ an I-AM-ALIVE each period. After GST each reaches ℓ
+/// at most B after the previous one, for some unknown bound B, and the
+/// predicted gap is never negative; so a wrong suspicion needs
 /// α_ℓ(q) < B (or a fallback < B). Each one is lifted by q's next
 /// I-AM-ALIVE over a reliable partially synchronous input link and widens
 /// both by timeout_increment, so q is wrongly suspected only finitely
@@ -90,6 +99,8 @@ class CToP final : public Protocol, public SuspectOracle {
 
   void start() override;
   void on_message(const Message& m) override;
+  /// Takes over or steps down as soon as the input detector's leader moves.
+  void on_fd_change() override;
 
   /// The transformed ◇P output.
   [[nodiscard]] ProcessSet suspected() const override { return adopted_; }
@@ -103,8 +114,19 @@ class CToP final : public Protocol, public SuspectOracle {
   }
 
  private:
-  void alive_tick();  ///< Task 2
-  void leader_tick(); ///< Tasks 1 + 3 (+ leadership transitions)
+  void alive_tick();   ///< Task 2
+  void leader_tick();  ///< Task 1
+  /// Follows the input's leader: takeover or step-down. True when a
+  /// takeover suspected someone at once; the caller publishes the list.
+  bool follow_leader();
+  /// Task 3: suspects every q past its deadline and re-arms; true when
+  /// someone was newly suspected.
+  bool task3();
+  /// Points the Task 3 timer at the earliest pending deadline.
+  void arm_task3();
+  void publish();  ///< sends the local list to everyone
+  /// The leader's output is its local list; notifies on a change.
+  void set_output(const ProcessSet& out);
 
   Config cfg_;
   const LeaderOracle* trusted_src_;
@@ -114,6 +136,7 @@ class CToP final : public Protocol, public SuspectOracle {
   ProcessId list_src_{kNoProcess};  ///< whose list Task 5 last adopted
   std::vector<TimeUs> last_alive_;  ///< last CToP message from q, any type
   std::vector<fd::ArrivalPredictor> arrivals_;  ///< Task 3 deadlines
+  TimerId task3_timer_{kInvalidTimer};
 };
 
 }  // namespace ecfd::core

@@ -56,6 +56,8 @@ void ConsensusC::begin_round_one() {
   step();
 }
 
+void ConsensusC::on_fd_change() { step(); }
+
 void ConsensusC::poll() {
   if (halted_) return;
   step();

@@ -78,7 +78,9 @@ class ConsensusC final : public consensus::ConsensusProtocol {
     /// to everyone else. Trades Θ(n) messages/round for one fewer phase
     /// (and is the message pattern of the MR Omega baseline).
     bool merged_phase01{false};
-    /// How often FD-dependent waits are re-evaluated.
+    /// How often FD-dependent waits are re-evaluated. A stack that
+    /// notifies (Env::fd_changed) re-steps them at once; the poll is the
+    /// backstop for the stacks that do not.
     DurUs poll_period{msec(2)};
     /// Stop without deciding after this many rounds (0 = unlimited); used
     /// by experiments that demonstrate blocking behaviours.
@@ -101,6 +103,9 @@ class ConsensusC final : public consensus::ConsensusProtocol {
   void start() override;
   void propose(consensus::Value v) override;
   void on_message(const Message& m) override;
+  /// Re-steps an undecided instance: a phase waiting on the detector's
+  /// output moves as soon as that output does.
+  void on_fd_change() override;
 
   /// Invoked once, on the first message that arrives before this process
   /// has proposed. Lets an embedding that keeps instances dormant until

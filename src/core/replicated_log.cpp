@@ -93,8 +93,10 @@ void LogReplica::propose_next() {
     // instead of burning it on a no-op.
     if (choice == kNoOpCommand && cfg_.quiescent) break;
 
-    propose_into(k, choice);
+    // Move the cursor first: at n = 1 the slot decides inside propose(),
+    // and the decision runs this loop again from the cursor.
     ++next_proposal_slot_;
+    propose_into(k, choice);
   }
 }
 

@@ -17,6 +17,8 @@ StableLeader::StableLeader(Env& env, Config cfg)
 
 void StableLeader::start() {
   env_.set_timer(env_.rng().range(0, cfg_.period), [this]() { tick(); });
+  follow_leader();  // the first leader; no change to announce
+  arm_deadline();
 }
 
 ProcessId StableLeader::trusted() const {
@@ -36,30 +38,55 @@ void StableLeader::restart(std::size_t q) {
 }
 
 void StableLeader::tick() {
-  const ProcessId leader = trusted();
-  const auto i = static_cast<std::size_t>(leader);
-  if (leader != observed_leader_) {
-    ++leader_changes_;
-    observed_leader_ = leader;
-    env_.record(EventType::kLeaderChange, leader);
-    // Fresh leader: we were not hearing its beats before, so grant it the
-    // fallback rather than accuse it on stale arrivals.
-    restart(i);
-  }
-
-  if (leader == env_.self()) {
+  if (observed_leader_ == env_.self()) {
     env_.broadcast(Message::make(protocol_id(), kOk, "sl.ok", counters_));
-  } else if (env_.now() > arrivals_[i].deadline(last_heard_[i])) {
-    // Accuse: charge the leader, widen α, and tell everyone, so counters
-    // converge. Should it stay leader, it starts over on the fallback.
-    ++counters_[i];
-    arrivals_[i].note_mistake();
-    restart(i);
-    env_.trace("sl.accuse", "p" + std::to_string(leader));
-    env_.broadcast(
-        Message::make(protocol_id(), kAccuse, "sl.accuse", counters_));
   }
   env_.set_timer(cfg_.period, [this]() { tick(); });
+}
+
+bool StableLeader::follow_leader() {
+  const ProcessId leader = trusted();
+  if (leader == observed_leader_) return false;
+  ++leader_changes_;
+  observed_leader_ = leader;
+  env_.record(EventType::kLeaderChange, leader);
+  // Fresh leader: we were not hearing its beats before, so grant it the
+  // fallback rather than accuse it on stale arrivals.
+  restart(static_cast<std::size_t>(leader));
+  return true;
+}
+
+void StableLeader::arm_deadline() {
+  env_.cancel_timer(deadline_timer_);
+  deadline_timer_ = kInvalidTimer;
+  if (observed_leader_ == env_.self()) return;
+  const auto i = static_cast<std::size_t>(observed_leader_);
+  // The leader is accused once `now` is past its deadline: 1 us later.
+  const DurUs wait = arrivals_[i].deadline(last_heard_[i]) + 1 - env_.now();
+  deadline_timer_ = env_.set_timer(std::max<DurUs>(wait, 0), [this]() {
+    deadline_timer_ = kInvalidTimer;
+    on_deadline();
+  });
+}
+
+void StableLeader::on_deadline() {
+  const ProcessId leader = observed_leader_;
+  const auto i = static_cast<std::size_t>(leader);
+  if (env_.now() <= arrivals_[i].deadline(last_heard_[i])) {
+    arm_deadline();  // a drifting clock fired the timer early
+    return;
+  }
+  // Accuse: charge the leader, widen α, and tell everyone, so counters
+  // converge. Should it stay leader, it starts over on the fallback.
+  ++counters_[i];
+  arrivals_[i].note_mistake();
+  restart(i);
+  env_.trace("sl.accuse", "p" + std::to_string(leader));
+  env_.broadcast(
+      Message::make(protocol_id(), kAccuse, "sl.accuse", counters_));
+  const bool moved = follow_leader();
+  arm_deadline();
+  if (moved) env_.fd_changed();
 }
 
 void StableLeader::merge(const std::vector<std::uint64_t>& remote) {
@@ -79,6 +106,11 @@ void StableLeader::on_message(const Message& m) {
     last_heard_[i] = env_.now();
     arrivals_[i].observe(last_heard_[i]);
   }
+  // A merged accusation can move the argmin; a beat from the leader
+  // pushes its deadline forward.
+  const bool moved = follow_leader();
+  if (moved || (m.type == kOk && m.src == observed_leader_)) arm_deadline();
+  if (moved) env_.fd_changed();
 }
 
 }  // namespace ecfd::fd

@@ -34,9 +34,16 @@
 /// (or the restart) + initial_timeout, the fallback. Every accusation
 /// widens α, and the fallback with it, by timeout_increment. A fresh
 /// leader, and an accused one that stays leader, restart on the fallback:
-/// beats heard before the role began predict nothing. In the steady state
-/// a crashed leader is accused within one period + α of its last beat,
-/// plus one check period.
+/// beats heard before the role began predict nothing. One timer sits at
+/// the current leader's deadline and each of its beats pushes it forward,
+/// so a crashed leader is accused at its deadline, one period + α after
+/// its last beat, and a live one never lets the timer fire. The period
+/// timer only beats.
+///
+/// Output events. The leader changes the moment the argmin moves, on an
+/// accusation made here or on a merged counter vector; the module then
+/// records kLeaderChange and calls Env::fd_changed(), so the protocols
+/// that wait on the leader act at once.
 ///
 /// A crashed leader silently accumulates accusations until it loses the
 /// argmin; a falsely accused leader loses it at most finitely often,
@@ -74,7 +81,7 @@ class StableLeader final : public Protocol, public LeaderOracle {
   }
 
   /// How many times this module's trusted() output changed (stability
-  /// metric; sampled on the protocol's own period).
+  /// metric; the first leader, at start, is not a change).
   [[nodiscard]] int leader_changes() const { return leader_changes_; }
 
   /// The deadline source for q's beats (exposed for tests).
@@ -85,9 +92,14 @@ class StableLeader final : public Protocol, public LeaderOracle {
  private:
   enum MsgType { kOk = 1, kAccuse = 2 };
 
-  void tick();
+  void tick();  ///< beats while this process leads
   void merge(const std::vector<std::uint64_t>& remote);
   void restart(std::size_t q);  ///< q's deadline back on the fallback
+  /// Follows the argmin; true when it moved.
+  bool follow_leader();
+  /// Points the deadline timer at the current leader's deadline.
+  void arm_deadline();
+  void on_deadline();
 
   Config cfg_;
   std::vector<std::uint64_t> counters_;
@@ -95,6 +107,7 @@ class StableLeader final : public Protocol, public LeaderOracle {
   std::vector<ArrivalPredictor> arrivals_;
   ProcessId observed_leader_{kNoProcess};
   int leader_changes_{-1};  ///< first observation is not a "change"
+  TimerId deadline_timer_{kInvalidTimer};
 };
 
 }  // namespace ecfd::fd

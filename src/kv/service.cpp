@@ -378,20 +378,32 @@ void KvService::lease_tick() {
         m_lease_grants_->fetch_add(1, std::memory_order_relaxed);
     }
   } else {
-    trusted_self_since_ = kTimeNever;
-    if (lease_valid_) {
-      lease_valid_ = false;
-      env_.record(EventType::kLeaseRevoke, env_.self(), lease_term_);
-      if (m_lease_revokes_)
-        m_lease_revokes_->fetch_add(1, std::memory_order_relaxed);
-    }
+    revoke_lease();
   }
   refresh_gauges();
   env_.set_timer(cfg_.lease_check_every, [this] { lease_tick(); });
 }
 
+void KvService::revoke_lease() {
+  trusted_self_since_ = kTimeNever;
+  if (!lease_valid_) return;
+  lease_valid_ = false;
+  env_.record(EventType::kLeaseRevoke, env_.self(), lease_term_);
+  if (m_lease_revokes_)
+    m_lease_revokes_->fetch_add(1, std::memory_order_relaxed);
+}
+
+void KvService::on_fd_change() {
+  if (!is_leader()) {
+    revoke_lease();
+  } else if (trusted_self_since_ == kTimeNever) {
+    trusted_self_since_ = env_.now();
+  }
+}
+
 bool KvService::lease_read_ok(const Request& req) const {
-  return (req.flags & kFlagLeaseRead) != 0 && lease_valid_ && all_gets(req);
+  return (req.flags & kFlagLeaseRead) != 0 && lease_valid_ && is_leader() &&
+         all_gets(req);
 }
 
 // -------------------------------------------------------------- messages

@@ -37,11 +37,14 @@
 /// once, because the new leader's store already saw the (session, seq).
 ///
 /// Lease reads: when this replica has been the ◇C trusted process
-/// continuously for `lease_establish`, it serves GET-only requests from
-/// local state without a log slot. ◇C gives *eventual* leader agreement,
-/// not bounded-time mutual exclusion, so during pathological periods a
-/// lease read can return slightly stale (but committed) data; writes are
-/// always serialized through consensus, so state never diverges. Grants
+/// continuously for `lease_establish`, and still is, it serves GET-only
+/// requests from local state without a log slot. A detector that
+/// notifies (Env::fd_changed) ends the lease the moment its leader output
+/// leaves this replica; otherwise the periodic lease check does. ◇C gives
+/// *eventual* leader agreement, not bounded-time mutual exclusion, so
+/// during pathological periods a lease read can return slightly stale
+/// (but committed) data; writes are always serialized through consensus,
+/// so state never diverges. Grants
 /// and revocations are obs events (kLeaseGrant/kLeaseRevoke) and
 /// metrics. Requests that cannot use the lease fall back to
 /// through-the-log reads.
@@ -86,6 +89,10 @@ class KvService final : public Protocol {
 
   void start() override;
   void on_message(const Message& m) override;
+  /// A replica that stops trusting itself gives up its lease at once and
+  /// starts its lease_establish streak over; one that starts trusting
+  /// itself starts the streak now.
+  void on_fd_change() override;
 
   /// Client entry point. May reply synchronously (redirect, lease read,
   /// validation error, dedup hit) or asynchronously on commit; every
@@ -141,6 +148,7 @@ class KvService final : public Protocol {
   void apply_batch(int slot, const BatchBody& body);
   void maybe_snapshot();
   void lease_tick();
+  void revoke_lease();
   void gossip_tick();
   void on_peer_applied(ProcessId peer, std::int64_t applied);
   void on_snapshot_chunk(const SnapshotChunk& chunk);

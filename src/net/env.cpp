@@ -22,6 +22,10 @@ Protocol* Env::protocol(ProtocolId id) const {
   return it == by_id_.end() ? nullptr : it->second;
 }
 
+void Env::fd_changed() {
+  for (auto& p : protocols_) p->on_fd_change();
+}
+
 void Env::start_protocols() {
   started_ = true;
   for (auto& p : protocols_) p->start();

@@ -127,6 +127,12 @@ class Env {
   /// The protocol registered under \p id (nullptr when absent).
   [[nodiscard]] Protocol* protocol(ProtocolId id) const;
 
+  /// Runs Protocol::on_fd_change() on every registered protocol. A
+  /// failure detector calls it the moment its output changes, and only
+  /// then, so protocols that wait on that output act at once instead of
+  /// on their next poll.
+  void fd_changed();
+
   /// Backends call this at bind time (before protocol start) to attach the
   /// process's rings for host id \p host (rings must already exist — see
   /// Recorder::bind_hosts). Pass rec == nullptr to detach. Not thread-safe
@@ -171,6 +177,10 @@ class Protocol {
 
   /// Invoked for every message addressed to this protocol id.
   virtual void on_message(const Message& m) = 0;
+
+  /// Invoked when a failure detector on this process changed its output
+  /// (Env::fd_changed). Stacks that do not notify leave it silent.
+  virtual void on_fd_change() {}
 
   [[nodiscard]] ProtocolId protocol_id() const { return id_; }
 

@@ -47,15 +47,18 @@ struct FaultSpec {
   /// True-time delay of a timer armed for \p delay of local time: stretched
   /// by the gray factor first (a gray host runs its deferred work late),
   /// then converted for drift (a fast local clock fires early, a slow one
-  /// late).
+  /// late). A positive delay stays positive: once the clamp holds the
+  /// error still, the local clock runs at true rate, so a timer re-armed
+  /// for a local deadline would otherwise fire at the same instant forever.
   [[nodiscard]] DurUs timer_delay(DurUs delay) const {
+    const DurUs local = delay;
     if (gray_factor_milli != 1000) {
       delay = delay * static_cast<DurUs>(gray_factor_milli) / 1000;
     }
     if (skew_drift_ppm != 0) {
       delay = delay * 1'000'000 / (1'000'000 + skew_drift_ppm);
     }
-    return delay;
+    return local > 0 ? std::max<DurUs>(delay, 1) : delay;
   }
 };
 

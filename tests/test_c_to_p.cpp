@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -232,11 +233,15 @@ struct ShippedStack {
   std::unique_ptr<System> sys;
   std::vector<consensus::FdInstallation> fds;
   std::vector<const core::CToP*> ctps;
+  DurUs delta{};  ///< the links' delay bound
 };
 
 ShippedStack make_shipped(int n, std::uint64_t seed) {
   ShippedStack s;
-  s.sys = make_system(testutil::partial_sync_scenario(n, seed, /*gst=*/0));
+  const ScenarioConfig sc =
+      testutil::partial_sync_scenario(n, seed, /*gst=*/0);
+  s.sys = make_system(sc);
+  s.delta = sc.delta;
   for (ProcessId p = 0; p < n; ++p) {
     s.fds.push_back(consensus::install_fd_stack(
         consensus::FdStack::kEcfd, s.sys->host(p), node_timings()));
@@ -260,21 +265,27 @@ std::vector<TimeUs> first_times(
   return first;
 }
 
+/// A quiescent LogReplica on every host of \p s, configured as ecfd_node
+/// configures it: the consensus poll is half the detector period, 25 ms.
+std::vector<std::unique_ptr<core::LogReplica>> node_logs(ShippedStack& s) {
+  std::vector<std::unique_ptr<core::LogReplica>> logs;
+  for (std::size_t p = 0; p < s.fds.size(); ++p) {
+    core::LogReplica::Config lc;
+    lc.capacity = 8;
+    lc.quiescent = true;
+    lc.consensus.poll_period = node_timings().period / 2;
+    logs.push_back(std::make_unique<core::LogReplica>(
+        s.sys->host(static_cast<ProcessId>(p)), s.fds[p].ecfd, lc));
+  }
+  return logs;
+}
+
 TEST(CToP, NewLeaderTimesOutItsCrashedPredecessorFromItsLastList) {
   const int n = 3;
   const ProcessId old_leader = 0;
   const ProcessId successor = 1;  // stable Omega: argmin (accusations, id)
-  const DurUs list_period = node_timings().period;
   ShippedStack s = make_shipped(n, 11);
-  std::vector<std::unique_ptr<core::LogReplica>> logs;
-  for (ProcessId p = 0; p < n; ++p) {
-    core::LogReplica::Config lc;
-    lc.capacity = 8;
-    lc.quiescent = true;
-    lc.consensus.poll_period = list_period / 2;  // as ecfd_node sets it
-    logs.push_back(std::make_unique<core::LogReplica>(
-        s.sys->host(p), s.fds[static_cast<std::size_t>(p)].ecfd, lc));
-  }
+  auto logs = node_logs(s);
   s.sys->start();
   s.sys->run_until(sec(2));
   for (ProcessId p = 0; p < n; ++p) {
@@ -283,6 +294,10 @@ TEST(CToP, NewLeaderTimesOutItsCrashedPredecessorFromItsLastList) {
 
   const TimeUs crash = s.sys->now();
   s.sys->crash_now(old_leader);
+  // The predecessor's deadline at the successor, fed by its lists.
+  const fd::ArrivalPredictor& pred = s.ctps[successor]->predictor(old_leader);
+  ASSERT_TRUE(pred.warmed_up());
+  const TimeUs deadline = pred.deadline(pred.last_arrival());
   constexpr consensus::Value kCommand = 42;
   TimeUs decided_at = kTimeNever;
   logs[successor]->set_apply([&decided_at](const core::LogReplica::Entry& e) {
@@ -299,23 +314,72 @@ TEST(CToP, NewLeaderTimesOutItsCrashedPredecessorFromItsLastList) {
   const TimeUs suspects_old = t[1];
   ASSERT_NE(trusts_self, kTimeNever) << "Omega never moved to p1";
   ASSERT_NE(suspects_old, kTimeNever) << "p1 never suspected the dead p0";
-  // Omega's election is T_Ω; the predecessor's silence since its last list
-  // already passes its predicted deadline (last list + one period + α), so
-  // the first Task 3 check after takeover suspects it.
-  EXPECT_LE(suspects_old - trusts_self, list_period)
-      << "T_Ω = " << (trusts_self - crash) << " us";
-  // Phases 2 and 4 stop waiting for the dead process at once, so the slot
-  // decides within T_Ω plus two list periods of the crash. T_Ω itself is
-  // one beat period + α + one check period at most, so the slot decides
-  // well inside the 250 ms fallback.
+  // The successor takes over the moment Omega elects it (T_Ω), keeps the
+  // predictor its predecessor's lists fed, and suspects the predecessor
+  // at that deadline or at the takeover, whichever is later. The loop
+  // samples each 1 ms.
+  EXPECT_LE(suspects_old, std::max(trusts_self, deadline + msec(1)))
+      << "T_Ω = " << (trusts_self - crash) << " us, deadline "
+      << (deadline - crash) << " us after the crash";
+  // Phases 2 and 4 hear the suspicion at once, so the slot decides within
+  // one round of it: at most four link delays (announcement, estimate,
+  // proposition, ack), not on the 25 ms poll.
+  const DurUs round = 4 * s.delta;
   ASSERT_NE(decided_at, kTimeNever);
-  EXPECT_LT(decided_at, trusts_self + 2 * list_period)
-      << "decided " << (decided_at - crash) << " us after the crash, T_Ω = "
-      << (trusts_self - crash) << " us";
+  EXPECT_LE(decided_at, suspects_old + round)
+      << "decided " << (decided_at - crash) << " us after the crash, "
+      << "suspected " << (suspects_old - crash) << " us after it";
   EXPECT_LT(decided_at - crash, msec(200))
       << "T_Ω = " << (trusts_self - crash) << " us";
   EXPECT_TRUE(s.ctps[2]->suspected().contains(old_leader))
       << "p2 adopts the new leader's list";
+}
+
+TEST(CToP, SlotInFlightAtItsCoordinatorsCrashDecidesOneRoundAfterTheSuspicion) {
+  // p0 leads and opens a slot, then dies 1-3 ms later with the slot
+  // undecided. p1 and p2 wait in Phase 3 for their coordinator until they
+  // suspect p0. From the crash on every link takes exactly 1 ms. The
+  // suspicion reaches the survivors' ConsensusC instances at once
+  // (Env::fd_changed), so the slot decides within one round of the last
+  // survivor's suspicion (announcement, estimate, proposition, ack: four
+  // link delays), not on the 25 ms poll.
+  const int n = 3;
+  const DurUs link = msec(1);
+  for (DurUs in_flight : {msec(1), msec(2), msec(3)}) {
+    ShippedStack s = make_shipped(n, 13);
+    auto logs = node_logs(s);
+    s.sys->start();
+    s.sys->run_until(sec(2));
+    ASSERT_EQ(s.fds[1].leader->trusted(), 0);
+    logs[0]->submit(42);
+    s.sys->run_for(in_flight);
+    ASSERT_EQ(logs[0]->applied_slots(), 0) << "the slot is still open";
+    const TimeUs crash = s.sys->now();
+    s.sys->crash_now(0);
+    for (ProcessId a = 1; a < n; ++a) {
+      for (ProcessId b = 1; b < n; ++b) {
+        if (a != b) {
+          s.sys->network().set_link(
+              a, b, std::make_unique<ReliableLink>(link, link));
+        }
+      }
+    }
+
+    const auto t = first_times(
+        *s.sys, crash + sec(2),
+        {[&s] { return s.fds[1].ecfd->suspected().contains(0); },
+         [&s] { return s.fds[2].ecfd->suspected().contains(0); },
+         [&logs] { return logs[1]->applied_slots() > 0; }});
+    ASSERT_NE(t[0], kTimeNever) << "p1 never suspected the dead p0";
+    ASSERT_NE(t[1], kTimeNever) << "p2 never suspected the dead p0";
+    ASSERT_NE(t[2], kTimeNever) << "the slot never decided";
+    const TimeUs suspected = std::max(t[0], t[1]);
+    // Each time is the first 1 ms sample at which it held.
+    EXPECT_LE(t[2], suspected + 4 * link + msec(1))
+        << "in flight " << in_flight << " us: suspected "
+        << (suspected - crash) << " us and decided " << (t[2] - crash)
+        << " us after the crash";
+  }
 }
 
 TEST(CToP, WrongTakeoverSuspicionIsRepairedByTheFirstIAmAlive) {

@@ -7,13 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/ecfd_compose.hpp"
-#include "fd/ring_fd.hpp"
+#include "consensus/fd_stacks.hpp"
+#include "fd/stable_leader.hpp"
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
 #include "scenario_util.hpp"
@@ -28,7 +29,7 @@ constexpr std::uint64_t kSess = 0x5E55;
 
 struct Cluster {
   std::unique_ptr<System> sys;
-  std::vector<std::unique_ptr<core::EcfdOracle>> oracles;
+  std::vector<consensus::FdInstallation> fds;
   std::vector<std::unique_ptr<core::LogReplica>> logs;
   std::vector<KvService*> services;
   /// Replies per host, in arrival order.
@@ -36,23 +37,23 @@ struct Cluster {
 };
 
 // Heap-allocated: the reply sinks capture the cluster's address.
-std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
-                                      int snapshot_every = 64) {
+std::unique_ptr<Cluster> make_cluster(
+    int n, std::uint64_t seed, int snapshot_every = 64,
+    consensus::FdStack stack = consensus::FdStack::kRing) {
   auto c = std::make_unique<Cluster>();
   Cluster* cp = c.get();
   c->sys = make_system(testutil::partial_sync_scenario(n, seed));
-  std::vector<fd::RingFd*> rings;
   for (ProcessId p = 0; p < n; ++p) {
-    rings.push_back(&c->sys->host(p).emplace<fd::RingFd>());
+    c->fds.push_back(consensus::install_fd_stack(stack, c->sys->host(p)));
   }
   for (ProcessId p = 0; p < n; ++p) {
-    c->oracles.push_back(std::make_unique<core::EcfdFromRing>(rings[p]));
+    const core::EcfdOracle* fd = c->fds[static_cast<std::size_t>(p)].ecfd;
     core::LogReplica::Config lc;
     lc.capacity = 256;
     lc.pipeline_depth = 2;
     lc.quiescent = true;
-    c->logs.push_back(std::make_unique<core::LogReplica>(
-        c->sys->host(p), c->oracles.back().get(), lc));
+    c->logs.push_back(
+        std::make_unique<core::LogReplica>(c->sys->host(p), fd, lc));
     auto& rb = c->sys->host(p).emplace<broadcast::ReliableBroadcast>(
         protocol_ids::kKvBatchRb);
     KvService::Config kc;
@@ -60,8 +61,8 @@ std::unique_ptr<Cluster> make_cluster(int n, std::uint64_t seed,
     kc.lease_establish = msec(300);
     kc.gossip_every = msec(100);
     kc.snapshot_every = snapshot_every;
-    auto& svc = c->sys->host(p).emplace<KvService>(
-        c->oracles.back().get(), c->logs.back().get(), &rb, kc);
+    auto& svc =
+        c->sys->host(p).emplace<KvService>(fd, c->logs.back().get(), &rb, kc);
     const int host = p;
     svc.set_reply_sink([cp, host](KvService::Token, const Reply& r) {
       cp->replies[host].push_back(r);
@@ -321,6 +322,64 @@ TEST(KvService, PeerSentClientRequestIsIgnored) {
   EXPECT_EQ(metrics.get("kv.requests"), 0);
   EXPECT_TRUE(c->replies.empty());
   EXPECT_EQ(c->sys->metrics().get("msg.kv.reply.sent"), 0);
+}
+
+TEST(KvService, OneNodeClusterAnswersEveryRequest) {
+  // At n = 1 a slot decides inside its own propose(), and the decision
+  // runs the log's proposal loop again. The loop must not then skip the
+  // next slot, or the write after the session open never applies.
+  auto c = make_cluster(1, 9);
+  c->sys->start();
+  c->sys->run_until(msec(400));
+  c->services[0]->handle_request(1, open_req(1));
+  c->sys->run_until(msec(600));
+  c->services[0]->handle_request(1, write_req(2, 1, "k", "v"));
+  c->sys->run_until(sec(2));
+  for (std::uint64_t tag : {1u, 2u}) {
+    const Reply* r = reply_with_tag(*c, 0, tag);
+    ASSERT_NE(r, nullptr) << "tag " << tag;
+    EXPECT_EQ(r->status, Status::kOk) << "tag " << tag;
+  }
+  EXPECT_EQ(c->services[0]->store().read("k").value, "v");
+}
+
+TEST(KvService, DeposedLeaderStopsServingLeaseReadsAtOnce) {
+  // On the shipped stack the leader holds the lease. An accusation that
+  // charges it more than anyone else moves its Omega the moment it is
+  // merged, so a lease GET at that same instant is redirected to the new
+  // argmin instead of being served by a replica that no longer leads.
+  const int n = 3;
+  auto c = make_cluster(n, 10, 64, consensus::FdStack::kEcfd);
+  c->sys->start();
+  c->sys->run_until(sec(1));
+  const ProcessId leader = c->fds[0].leader->trusted();
+  for (ProcessId p = 1; p < n; ++p) {
+    ASSERT_EQ(c->fds[static_cast<std::size_t>(p)].leader->trusted(), leader);
+  }
+  KvService& svc = *c->services[static_cast<std::size_t>(leader)];
+  ASSERT_TRUE(svc.lease_valid());
+  const auto* sl = dynamic_cast<const fd::StableLeader*>(
+      c->fds[static_cast<std::size_t>(leader)].leader);
+  ASSERT_NE(sl, nullptr);
+
+  std::vector<std::uint64_t> counters;
+  for (ProcessId q = 0; q < n; ++q) counters.push_back(sl->accusations(q));
+  counters[static_cast<std::size_t>(leader)] =
+      *std::max_element(counters.begin(), counters.end()) + 1;
+  Message accuse = Message::make(protocol_ids::kStableLeader, /*accuse=*/2,
+                                 "sl.accuse", counters);
+  accuse.src = (leader + 1) % n;
+  accuse.dst = leader;
+  c->sys->host(leader).deliver(accuse);
+  const ProcessId successor = sl->trusted();
+  ASSERT_NE(successor, leader);
+  svc.handle_request(1, read_req(1, "k", /*lease=*/true));
+
+  const Reply* r = reply_with_tag(*c, leader, 1);
+  ASSERT_NE(r, nullptr) << "a lease read or a redirect is synchronous";
+  EXPECT_EQ(r->status, Status::kNotLeader);
+  EXPECT_EQ(r->leader_hint, successor);
+  EXPECT_FALSE(svc.lease_valid());
 }
 
 TEST(KvService, IdleClusterConsumesNoSlots) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "check/fuzz.hpp"
+#include "net/faults.hpp"
 #include "net/geo.hpp"
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
@@ -252,6 +253,20 @@ TEST(Skew, DriftingClockFiresTimersEarly) {
   ASSERT_NE(fired_at, kTimeNever);
   EXPECT_LT(fired_at, msec(95));
   EXPECT_GE(fired_at, msec(85));
+}
+
+TEST(Skew, PositiveTimerDelaysStayPositive) {
+  // A fast clock converts local delays to shorter true ones. Once the
+  // clamp holds its error still, a deadline timer re-armed for the last
+  // microsecond before a local deadline must still move true time on: a
+  // 0 us delay would fire at the same instant forever.
+  FaultSpec f;
+  f.skew_drift_ppm = 100'000;
+  f.skew_bound = msec(20);
+  EXPECT_EQ(f.timer_delay(0), 0);
+  for (DurUs d : {1, 2, 10, 11}) EXPECT_GT(f.timer_delay(d), 0) << d;
+  EXPECT_EQ(f.timer_delay(1), 1);
+  EXPECT_EQ(f.timer_delay(msec(110)), msec(100)) << "drift still converts";
 }
 
 // --- fuzz profile determinism --------------------------------------------

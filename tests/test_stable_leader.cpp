@@ -166,11 +166,12 @@ fd::StableLeader::Config node_config() {
 
 constexpr DurUs kAlpha = fd::ArrivalPredictor::Config{}.alpha;
 
-TEST(StableLeader, SurvivorsLeaveACrashedLeaderWithinTwoPeriodsPlusAlpha) {
-  // A survivor's last beat from the dead leader left at most one period
-  // before the crash; the deadline is that beat's arrival + the predicted
-  // gap (one period) + α, and the survivor looks at its next tick, at most
-  // one period later. What is left is the beat's link delay.
+TEST(StableLeader, SurvivorsLeaveACrashedLeaderAtItsDeadline) {
+  // A survivor's timer sits at its predictor's deadline for the leader:
+  // the last beat's arrival + the predicted gap (one period) + α. Once
+  // the leader is dead nothing pushes it forward, so the survivor accuses
+  // and moves when the deadline passes, or earlier when another
+  // survivor's accusation reaches it first. The loop samples each 1 ms.
   const int n = 5;
   const fd::StableLeader::Config c = node_config();
   const ScenarioConfig sc = testutil::partial_sync_scenario(n, 21, /*gst=*/0);
@@ -182,8 +183,16 @@ TEST(StableLeader, SurvivorsLeaveACrashedLeaderWithinTwoPeriodsPlusAlpha) {
     }
     sys->start();
     sys->run_until(crash_at);
+    std::vector<TimeUs> deadline(n, kTimeNever);
     for (ProcessId p = 0; p < n; ++p) ASSERT_EQ(fds[p]->trusted(), 0);
     sys->crash_now(0);
+    for (ProcessId p = 1; p < n; ++p) {
+      const fd::ArrivalPredictor& pred = fds[p]->predictor(0);
+      ASSERT_TRUE(pred.warmed_up()) << "p" << p;
+      deadline[p] = pred.deadline(pred.last_arrival());
+      ASSERT_LE(deadline[p] - crash_at, c.period + kAlpha + sc.delta)
+          << "p" << p << ": the last beat left at most a period ago";
+    }
 
     std::vector<TimeUs> moved(n, kTimeNever);
     while (sys->now() < crash_at + sec(1)) {
@@ -196,8 +205,9 @@ TEST(StableLeader, SurvivorsLeaveACrashedLeaderWithinTwoPeriodsPlusAlpha) {
     }
     for (ProcessId p = 1; p < n; ++p) {
       ASSERT_NE(moved[p], kTimeNever) << "p" << p << " still trusts p0";
-      EXPECT_LE(moved[p] - crash_at, 2 * c.period + kAlpha + sc.delta)
-          << "p" << p << ", crash at " << crash_at << " us";
+      EXPECT_LE(moved[p], deadline[p] + msec(1))
+          << "p" << p << ", crash at " << crash_at << " us, deadline "
+          << (deadline[p] - crash_at) << " us after it";
       EXPECT_EQ(fds[p]->trusted(), 1) << "a common successor";
     }
   }
