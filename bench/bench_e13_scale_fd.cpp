@@ -3,43 +3,34 @@
 // in the low hundreds. The two scalable ◇C stacks added by this experiment
 // — fd/hier_c (two-level hierarchy, ~2n msgs/period) and fd/swim (gossip
 // membership, ~2-4 msgs per NODE per period) — push the same property set
-// to n=16384. Three measurement sections:
+// to n=16384. Every section runs on the DETERMINISTIC SIMULATOR, so every
+// row is exact and two runs print identical reports:
 //
-//   1. Steady-state message cost on the DETERMINISTIC SIMULATOR: counts
-//      are exact per simulated time, so the O(n^2) vs O(n) separation is
-//      not polluted by executor saturation (this host has one hardware
-//      thread; flat heartbeat at n=4096 already emits ~33M msgs/sim-sec,
-//      far past what any single-core wall-clock run can route honestly).
-//      Flat at n=16384 is omitted: ~268M messages PER PERIOD is the
-//      infeasibility point the hierarchy exists to remove.
-//   2. Detection latency on the THREADED RUNTIME (wall clock): crash one
-//      non-leader mid-range process after warm-up, every survivor polls
-//      its own oracle on its own executor; first/median/max time until the
-//      crash is suspected. Wall-clock numbers on a live machine — rerunning
-//      moves them; CI compares this bench by SCHEMA (and the headline
-//      ratio), never by exact value. The flat stack needs a far slower
-//      cadence to fit through a routing fabric at all — its rows use
+//   1. Steady-state message cost: counts per simulated time, so the
+//      O(n^2) vs O(n) separation is not polluted by any executor (flat
+//      heartbeat at n=4096 emits ~33M msgs/sim-sec). Flat at n=16384 is
+//      omitted: ~268M messages PER PERIOD is the infeasibility point the
+//      hierarchy exists to remove.
+//   2. Detection latency: links of 100 us - 2 ms, one non-leader mid-range
+//      process crashes after warm-up, and every survivor's own oracle is
+//      polled every max(10 ms, period/8) of virtual time; first/median/max
+//      time until the crash is suspected. The flat stack's rows use
 //      deployment-realistic periods (250ms/1s), the scalable stacks 100ms.
-//   3. Per-host memory of the constructed (never started) stacks on the
-//      threaded runtime via the counting allocator (sim/alloc_counter):
-//      flat keeps O(n) timer state per
-//      host (O(n^2) total — ~4 GB at n=16384, constructible here but never
-//      runnable), hier O(sqrt n), swim O(faulty).
+//   3. Per-host memory of the constructed (never started) stacks via the
+//      counting allocator (sim/alloc_counter), counted from after the
+//      simulated System is built, so only the stacks are in the figure:
+//      flat keeps O(n) timer state per host (O(n^2) total — ~4 GB at
+//      n=16384, constructible here but never runnable), hier O(sqrt n),
+//      swim O(faulty).
 //
 // Flags: --quick (n <= 1024, shorter windows; the CI perf-smoke leg) and
 // the table.hpp-standard --json FILE. Checked-in full output:
 // BENCH_FD_SCALE.json (validated by tools/check_bench_schema.py
 // --bench-fd-scale, including the >=10x headline ratio at n=4096).
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fd/efficient_p.hpp"
@@ -47,14 +38,11 @@
 #include "fd/hier_c.hpp"
 #include "fd/swim.hpp"
 #include "net/scenario.hpp"
-#include "runtime/thread_env.hpp"
 #include "sim/alloc_counter.hpp"
 #include "table.hpp"
 
 namespace ecfd {
 namespace {
-
-using runtime::ThreadSystem;
 
 enum class Stack { kFlat, kEffP, kHier, kSwim };
 
@@ -119,8 +107,8 @@ fd::SwimFd::Config swim_cfg(DurUs period) {
   return c;
 }
 
-/// Installs one stack instance on a host (simulated or threaded) and
-/// returns it as the suspicion oracle.
+/// Installs one stack instance on a simulated host and returns it as the
+/// suspicion oracle.
 const SuspectOracle* install(Stack s, Env& host, DurUs period) {
   switch (s) {
     case Stack::kFlat:
@@ -164,7 +152,7 @@ MsgCost run_msg_cost(Stack s, int n, int warm_periods, int window_periods) {
   return r;
 }
 
-// --- section 2: detection latency on the threaded runtime ---------------
+// --- section 2: detection latency on the deterministic simulator ---------
 
 struct DetectResult {
   double first_ms{0};
@@ -176,109 +164,74 @@ struct DetectResult {
 };
 
 DetectResult run_detect(Stack s, int n, DurUs period) {
-  ThreadSystem::Config cfg;
-  cfg.n = n;
-  cfg.seed = 7;
-  cfg.min_delay = usec(100);
-  cfg.max_delay = msec(2);
-  if (s == Stack::kHier) {
-    // Cell-aware placement: HierC's default cells are contiguous blocks of
-    // ceil(sqrt(n)) ids, so pin each cell to one worker.
-    cfg.shard_block =
-        static_cast<int>(std::ceil(std::sqrt(static_cast<double>(n))));
+  ScenarioConfig sc;
+  sc.n = n;
+  sc.seed = 7;
+  sc.links = LinkKind::kReliable;
+  sc.min_delay = usec(100);
+  sc.max_delay = msec(2);
+  auto sys = make_system(sc);
+  std::vector<const SuspectOracle*> oracles(static_cast<std::size_t>(n));
+  for (ProcessId p = 0; p < n; ++p) {
+    oracles[static_cast<std::size_t>(p)] = install(s, sys->host(p), period);
   }
   DetectResult r;
   r.observers = n - 1;
 
-  ThreadSystem sys(cfg);
-  std::vector<const SuspectOracle*> oracles(static_cast<std::size_t>(n));
-  for (ProcessId p = 0; p < n; ++p) {
-    oracles[static_cast<std::size_t>(p)] = install(s, sys.host(p), period);
-  }
-
   // Victim: mid-range, never an initial hier cell leader (id % cell != 0).
   const ProcessId victim = n / 2 + 1;
-
-  // Each survivor polls its own oracle on its own executor (so reading the
-  // protocol is race-free) and publishes its first-detection wall time.
-  // The stored looper holds itself weakly; only its pending task owns it.
-  auto detect_at = std::make_unique<std::vector<std::atomic<TimeUs>>>(
-      static_cast<std::size_t>(n));
-  for (auto& a : *detect_at) a.store(-1, std::memory_order_relaxed);
-  const DurUs poll = std::max<DurUs>(msec(10), period / 8);
-  for (ProcessId p = 0; p < n; ++p) {
-    if (p == victim) continue;
-    runtime::ThreadHost& host = sys.host(p);
-    auto looper = std::make_shared<std::function<void()>>();
-    *looper = [&sys, &host, self = std::weak_ptr(looper),
-               oracle = oracles[static_cast<std::size_t>(p)],
-               slot = &(*detect_at)[static_cast<std::size_t>(p)], victim,
-               poll]() {
-      if (oracle->suspected().contains(victim)) {
-        slot->store(sys.now(), std::memory_order_relaxed);
-        return;  // detected: stop polling
-      }
-      host.post_at(sys.now() + poll, [l = self.lock()]() { (*l)(); });
-    };
-    host.post_at(0, [looper]() { (*looper)(); });
-  }
-
-  sys.start();
+  sys->start();
   // Warm well past the initial timeout so the crash hits steady state.
-  std::this_thread::sleep_for(std::chrono::microseconds(6 * period));
-  const std::uint64_t routed0 = sys.messages_routed();
-  sys.host(victim).crash();
-  const TimeUs crash_t = sys.now();
+  sys->run_for(6 * period);
+  const std::int64_t sent0 = sum_sent(sys->metrics(), stack_prefix(s));
+  sys->crash_now(victim);
+  const TimeUs crash_t = sys->now();
 
+  // Every survivor's own oracle is polled every `poll` from the crash on;
+  // the first poll that finds the victim suspected is its detection time.
+  const DurUs poll = std::max<DurUs>(msec(10), period / 8);
   const TimeUs deadline = crash_t + 40 * period;
-  while (sys.now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    int done = 0;
-    for (ProcessId p = 0; p < n; ++p) {
-      if (p == victim) continue;
-      if ((*detect_at)[static_cast<std::size_t>(p)].load(
-              std::memory_order_relaxed) >= 0) {
-        ++done;
-      }
-    }
-    if (done == n - 1) break;
-  }
-  const std::uint64_t routed1 = sys.messages_routed();
-  const TimeUs t1 = sys.now();
-
   std::vector<double> lat;
-  for (ProcessId p = 0; p < n; ++p) {
-    if (p == victim) continue;
-    const TimeUs at = (*detect_at)[static_cast<std::size_t>(p)].load(
-        std::memory_order_relaxed);
-    if (at >= 0) lat.push_back(static_cast<double>(at - crash_t) / 1000.0);
+  std::vector<bool> seen(static_cast<std::size_t>(n), false);
+  seen[static_cast<std::size_t>(victim)] = true;
+  while (r.detected < r.observers && sys->now() < deadline) {
+    sys->run_for(poll);
+    for (ProcessId p = 0; p < n; ++p) {
+      const auto i = static_cast<std::size_t>(p);
+      if (seen[i] || !oracles[i]->suspected().contains(victim)) continue;
+      seen[i] = true;
+      ++r.detected;
+      lat.push_back(static_cast<double>(sys->now() - crash_t) / 1000.0);
+    }
   }
   std::sort(lat.begin(), lat.end());
-  r.detected = static_cast<int>(lat.size());
   if (!lat.empty()) {
     r.first_ms = lat.front();
     r.p50_ms = lat[lat.size() / 2];
     r.max_ms = lat.back();
   }
-  r.msgs_per_node_per_sec = static_cast<double>(routed1 - routed0) * 1e6 /
-                            (static_cast<double>(t1 - crash_t) * n);
+  const std::int64_t sent1 = sum_sent(sys->metrics(), stack_prefix(s));
+  r.msgs_per_node_per_sec = static_cast<double>(sent1 - sent0) * 1e6 /
+                            (static_cast<double>(sys->now() - crash_t) * n);
   return r;
 }
 
 // --- section 3: memory of constructed stacks ----------------------------
 
-/// Bytes requested through operator new while constructing the system and
-/// its stacks. The counting allocator (sim/alloc_counter.cpp, linked into
-/// this binary only) is the right probe here: VmRSS deltas read ~0 once
-/// the heap has freed arenas from earlier sections to reuse.
+/// Bytes requested through operator new while constructing the stacks on
+/// an already built System. The counting allocator (sim/alloc_counter.cpp,
+/// linked into this binary only) is the right probe here: VmRSS deltas
+/// read ~0 once the heap has freed arenas from earlier sections to reuse.
+/// The System itself is left out: its per-pair link table would swamp the
+/// stacks it hosts.
 double construct_heap_mb(Stack s, int n) {
+  ScenarioConfig sc;
+  sc.n = n;
+  sc.seed = 3;
+  sc.links = LinkKind::kReliable;
+  auto sys = make_system(sc);
   const std::uint64_t before = sim::alloc_bytes();
-  ThreadSystem::Config cfg;
-  cfg.n = n;
-  cfg.seed = 3;
-  cfg.workers = 1;
-  ThreadSystem sys(cfg);
-  for (ProcessId p = 0; p < n; ++p) install(s, sys.host(p), period_for(n));
+  for (ProcessId p = 0; p < n; ++p) install(s, sys->host(p), period_for(n));
   const std::uint64_t after = sim::alloc_bytes();
   return static_cast<double>(after - before) / (1024.0 * 1024.0);
 }
@@ -295,12 +248,11 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "E13: failure-detector scale (" << (quick ? "quick" : "full")
-            << " mode; " << std::thread::hardware_concurrency()
-            << " hardware thread(s))\n"
+            << " mode)\n"
             << "flat heartbeat_p = O(n^2) msgs/period; hier_c and swim = "
                "O(n) total.\n"
-            << "Section 1 counts exact messages on the deterministic "
-               "simulator; sections 2 and 3 run the threaded runtime.\n";
+            << "Every section runs on the deterministic simulator; every "
+               "row is exact.\n";
 
   const int nmax = quick ? 1024 : 16384;
   const int nmax_flat = quick ? 1024 : 4096;
@@ -331,7 +283,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::section("E13 detection latency (threaded runtime)");
+  bench::section("E13 detection latency (deterministic sim)");
   bench::Table det({"stack", "n", "period_ms", "detect_first_ms",
                     "detect_p50_ms", "detect_max_ms", "detected", "observers",
                     "msgs_per_node_per_sec"});
@@ -340,8 +292,8 @@ int main(int argc, char** argv) {
       quick ? std::vector<int>{256} : std::vector<int>{256, 1024};
   for (Stack s : {Stack::kFlat, Stack::kHier, Stack::kSwim}) {
     for (int n : det_sizes) {
-      // Flat's all-to-all load forces a slow deployment-realistic cadence;
-      // the O(n)-total stacks afford 100ms probing at either size.
+      // Flat's all-to-all load calls for a slow deployment-realistic
+      // cadence; the O(n)-total stacks afford 100ms probing at either size.
       const DurUs period =
           s == Stack::kFlat ? (n <= 256 ? msec(250) : msec(1000)) : msec(100);
       const DetectResult r = run_detect(s, n, period);
@@ -350,7 +302,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::section("E13 per-host memory (threaded runtime, constructed stacks)");
+  bench::section("E13 per-host memory (deterministic sim, constructed stacks)");
   bench::Table mem({"stack", "n", "heap_mb", "kb_per_host"});
   mem.print_header();
   for (Stack s : {Stack::kFlat, Stack::kHier, Stack::kSwim}) {

@@ -8,7 +8,6 @@
 #include "consensus/harness.hpp"
 #include "fd/heartbeat_p.hpp"
 #include "net/scenario.hpp"
-#include "runtime/timer_wheel.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
 
@@ -83,11 +82,10 @@ BENCHMARK(BM_EventQueueScheduleCancelChurn)
     ->Arg(100000)
     ->Arg(1000000);
 
-// E9's timer storm on each of the two timer queues: `pending` live timers,
-// and every operation cancels the oldest and re-arms it 30 s out, as a
-// timeout reset on each heartbeat does. sim::EventQueue runs the
-// simulator's and DgramEnv's timers, runtime::TimerWheel the threaded
-// runtime's workers; ROADMAP item 10 records why both stay.
+// A timer storm on the one timer queue: `pending` live timers, and every
+// operation cancels the oldest and re-arms it 30 s out, as a timeout reset
+// on each heartbeat does. sim::EventQueue runs the simulator's and
+// DgramEnv's timers.
 constexpr DurUs kRearm = sec(30);
 
 void BM_EventQueueCancelRearm(benchmark::State& state) {
@@ -107,26 +105,6 @@ void BM_EventQueueCancelRearm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventQueueCancelRearm)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_TimerWheelCancelRearm(benchmark::State& state) {
-  const auto pending = static_cast<std::size_t>(state.range(0));
-  runtime::TimerWheel w(0);
-  std::vector<runtime::WheelHandle> ids;
-  TimeUs now = 0;
-  const auto arm = [&w, &now] {
-    return w.schedule(++now + kRearm, 0, runtime::TimerWheel::Kind::kTimer,
-                      [] {});
-  };
-  for (std::size_t i = 0; i < pending; ++i) ids.push_back(arm());
-  std::size_t oldest = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(w.cancel(ids[oldest]));
-    ids[oldest] = arm();
-    oldest = (oldest + 1) % pending;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TimerWheelCancelRearm)->Arg(16)->Arg(64)->Arg(256);
 
 // Broadcast fan-out through the simulated Network: one shared payload
 // body, n-1 sends, run to delivery. Items = messages delivered.

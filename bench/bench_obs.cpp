@@ -75,8 +75,8 @@ void bench_recorder_push() {
   }
 
   {
-    // Worst case for the sharded runtime: several workers landing on the
-    // same ring (normally each host has its own).
+    // Worst case for a ring: several threads pushing into it at once
+    // (normally each host's ring has one producer).
     obs::Recorder rec(4096);
     rec.bind_hosts(1);
     obs::EventRing& ring = rec.ring(0);

@@ -8,10 +8,11 @@
 #         ECFD_BACKEND=uring selects the io_uring transport (default poll);
 #         nodes degrade to poll at runtime if the kernel lacks io_uring.
 #
-# Exit code 0 when both survivors ended up suspecting the killed node;
-# nonzero otherwise. (With fd=heartbeat_p/efficient_p/ecfd the final
-# suspected set is exactly the killed node; fd=stable_leader reports the
-# pure-Omega view, which by design suspects everyone but the leader.)
+# Exit code 0 when both survivors ended up suspecting the killed node and
+# their final lines carry one and the same non-null decision; nonzero
+# otherwise. (With fd=heartbeat_p/efficient_p/ecfd the final suspected set
+# is exactly the killed node; fd=stable_leader reports the pure-Omega view,
+# which by design suspects everyone but the leader.)
 set -eu
 
 NODE_BIN="${1:-build/tools/ecfd_node}"
@@ -63,9 +64,16 @@ for out in "$WORKDIR/node0.out" "$WORKDIR/node1.out"; do
   fi
 done
 
-if [ "$ok" -eq 2 ]; then
-  echo "== OK: both survivors suspect the killed node (p2)"
-  exit 0
+if [ "$ok" -ne 2 ]; then
+  echo "== FAIL: survivors did not converge on suspecting p2" >&2
+  exit 1
 fi
-echo "== FAIL: survivors did not converge on suspecting p2" >&2
-exit 1
+
+d0=$(tail -n 1 "$WORKDIR/node0.out" | grep -o '"decided":[^,}]*' || true)
+d1=$(tail -n 1 "$WORKDIR/node1.out" | grep -o '"decided":[^,}]*' || true)
+if [ -z "$d0" ] || [ "$d0" = '"decided":null' ] || [ "$d0" != "$d1" ]; then
+  echo "== FAIL: survivors did not decide one value (p0 ${d0:-none}, p1 ${d1:-none})" >&2
+  exit 1
+fi
+echo "== OK: both survivors suspect the killed node (p2) and decided ${d0#*:}"
+exit 0

@@ -14,9 +14,8 @@
 ///
 /// The monitor is a pure state machine: feed it whole-system snapshots in
 /// time order via observe() and query verdicts() at any point. It has no
-/// dependency on the simulator, so the same class evaluates runs on the
-/// discrete-event System (driven by check::SimMonitor) and, read-only, on
-/// the threaded runtime (driven by check::ThreadedFdMonitor).
+/// dependency on the simulator; check::SimMonitor drives it on the
+/// discrete-event System.
 ///
 /// Eventual properties ("there is a time after which X holds") are tracked
 /// as the start of the current holding suffix: every violating snapshot

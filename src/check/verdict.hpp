@@ -57,7 +57,7 @@ const char* to_string(VerdictState s);
 /// Routes verdict-state transitions into a recorder's system ring (host -1)
 /// as kVerdict events: a = new VerdictState ordinal, label = interned
 /// property name. A property's first verdict is pushed only when it is not
-/// kHolding. Shared by SimMonitor and ThreadedFdMonitor; not thread-safe.
+/// kHolding. Used by SimMonitor; not thread-safe.
 class VerdictTransitions {
  public:
   void record(obs::Recorder& rec, TimeUs now,

@@ -31,8 +31,7 @@
 /// learned slot k's decision; deeper pipelines keep up to that many
 /// consecutive slots in flight, tracking which pending commands are
 /// already proposed so the same command is never racing itself in two
-/// slots. The same replica runs on every Env backend (simulator, sharded
-/// threads, UDP).
+/// slots. The same replica runs on both Env backends (simulator and UDP).
 
 namespace ecfd::core {
 

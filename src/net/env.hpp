@@ -17,10 +17,9 @@
 ///
 /// Protocols (failure detectors, transformations, consensus) are written
 /// against this interface only, so the identical protocol code runs on the
-/// deterministic discrete-event simulator (net/process_host.hpp), the
-/// sharded threaded runtime (runtime/thread_env.hpp) and UDP
-/// (transport/dgram_env.hpp). The process's protocol table lives here too:
-/// every runtime registers, starts and dispatches to its protocols the
+/// deterministic discrete-event simulator (net/process_host.hpp) and on
+/// UDP (transport/dgram_env.hpp). The process's protocol table lives here
+/// too: every runtime registers, starts and dispatches to its protocols the
 /// same way, so stack builders (consensus/fd_stacks.hpp, LogReplica) take
 /// a plain Env&.
 
@@ -42,8 +41,8 @@ class Env {
  public:
   virtual ~Env();
 
-  /// Current time (virtual in simulation, wall-clock in the threaded
-  /// runtime), microseconds.
+  /// Current time (virtual in simulation, wall-clock on UDP),
+  /// microseconds.
   [[nodiscard]] virtual TimeUs now() const = 0;
 
   /// Sends \p m to process \p dst. The src field is stamped by the

@@ -18,9 +18,9 @@
 ///
 /// Thread model: freelists are thread_local, so independent simulations on
 /// different threads (tools/bench_runner) never contend or share blocks.
-/// A block released on a different thread than it was acquired on (the
-/// threaded runtime passes messages across threads) simply migrates to the
-/// releasing thread's freelist — all blocks of a type are interchangeable.
+/// A block released on a different thread than it was acquired on simply
+/// migrates to the releasing thread's freelist — all blocks of a type are
+/// interchangeable.
 
 namespace ecfd {
 

@@ -7,8 +7,8 @@
 /// \file event.hpp
 /// The typed event schema of the unified observability layer.
 ///
-/// Every Env backend (deterministic simulator, sharded threaded runtime,
-/// UDP SocketEnv) records the same fixed-size binary events into per-host
+/// Both Env backends (the deterministic simulator and the UDP DgramEnv)
+/// record the same fixed-size binary events into per-host
 /// rings (obs/recorder.hpp), so a suspicion flap on real sockets and the
 /// same flap in the simulator land in one format and merge into one
 /// timeline (obs/timeline.hpp). Events are PODs: recording is a handful of

@@ -15,8 +15,7 @@
 /// System counts its messages into one (every digest hashes those
 /// counters), each UDP DgramEnv keeps one, and every tool exports one as
 /// `ecfd.metrics.v1` JSON; ecfd_node also serves its registry over a
-/// loopback HTTP endpoint. The sharded threaded runtime has none: it
-/// keeps a single routed-message atomic.
+/// loopback HTTP endpoint.
 ///
 /// Hot-path discipline: register once, keep the returned cell pointer,
 /// bump it directly. Cells are std::atomic so that another thread (the

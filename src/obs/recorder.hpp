@@ -19,9 +19,9 @@
 /// for observers that are not a process (property monitors). Rings are
 /// preallocated at bind time; recording an event is a relaxed fetch_add on
 /// the ring head plus a few relaxed atomic stores into the slot — no locks,
-/// no allocation, safe to call from the simulator's single thread, from a
-/// sharded-runtime worker, or (for the rare cross-thread producer) from any
-/// thread, because every slot field is an atomic. A reader that snapshots a
+/// no allocation, safe to call from the env's own thread or (for the rare
+/// cross-thread producer) from any thread, because every slot field is an
+/// atomic. A reader that snapshots a
 /// ring while a writer is mid-slot may see a torn *event* (fields from two
 /// writes) but never torn *fields* and never undefined behaviour; callers
 /// that need exact snapshots (tests, the merge tools) read at quiescence.
@@ -136,7 +136,7 @@ enum class ClockDomain {
 /// Per-recorder export metadata, embedded in ecfd.trace.v1 files so
 /// tools/ecfd_trace can align traces from different OS processes.
 struct TraceMeta {
-  std::string source{"sim"};            ///< "sim" | "runtime" | "socket"
+  std::string source{"sim"};            ///< "sim" | "socket"
   ClockDomain clock{ClockDomain::kVirtual};
   /// CLOCK_REALTIME microseconds at recorder creation; lets ecfd_trace
   /// align monotonic traces recorded by different OS processes. 0 for

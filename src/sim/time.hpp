@@ -7,7 +7,7 @@
 ///
 /// The simulator measures time in integral microseconds. Protocols are
 /// written against these aliases so the same code runs on the discrete-event
-/// scheduler and on the wall-clock threaded runtime.
+/// scheduler and on the wall-clock UDP node.
 
 namespace ecfd {
 

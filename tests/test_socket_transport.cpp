@@ -1,7 +1,6 @@
 // Integration tests for the UDP socket transport: real datagrams over
-// loopback between SocketEnvs running in separate threads (mirroring
-// test_thread_runtime.cpp). Nondeterministic; assertions are eventual with
-// generous real-time deadlines.
+// loopback between SocketEnvs running in separate threads. Nondeterministic;
+// assertions are eventual with generous real-time deadlines.
 #include "transport/socket_env.hpp"
 
 #include <gtest/gtest.h>
@@ -139,6 +138,54 @@ TEST(SocketTransport, HeartbeatPDetectsKilledPeerWithinDeadline) {
       [&] { return fda.suspected().contains(1); }, sec(5));
   EXPECT_TRUE(suspected);
   EXPECT_GT(a.metrics().get("msg.hb_p.alive.sent"), 0);
+}
+
+TEST(SocketTransport, ConsensusDecidesOneProposedValueOverUdp) {
+  // The paper's stack off the simulator: three loopback nodes, each on its
+  // own thread, run the ecfd stack with reliable broadcast and ConsensusC,
+  // as ecfd_node --consensus does, and node p proposes 1000 + p. Every
+  // node must decide, and all on one proposed value.
+  constexpr int kN = 3;
+  const auto peers = loopback_peers(kN, 21270);
+  std::vector<std::unique_ptr<SocketEnv>> envs;
+  std::vector<consensus::FdInstallation> stacks;
+  std::vector<core::ConsensusC*> cons;
+  // A node's decision is written on its own thread and read here after the
+  // join; the count tells every loop when to stop.
+  std::vector<consensus::Value> decided(kN, -1);
+  std::atomic<int> deciders{0};
+  for (ProcessId p = 0; p < kN; ++p) {
+    auto& env =
+        *envs.emplace_back(std::make_unique<SocketEnv>(options(p, peers)));
+    std::string error;
+    ASSERT_TRUE(env.open(&error)) << error;
+    stacks.push_back(
+        consensus::install_fd_stack(consensus::FdStack::kEcfd, env));
+    auto& rb = env.emplace<broadcast::ReliableBroadcast>();
+    cons.push_back(&env.emplace<core::ConsensusC>(stacks.back().ecfd, &rb));
+    cons.back()->set_on_decide(
+        [&decided, &deciders, p](const consensus::Decision& d) {
+          decided[static_cast<std::size_t>(p)] = d.value;
+          ++deciders;
+        });
+  }
+  for (ProcessId p = 0; p < kN; ++p) {
+    envs[static_cast<std::size_t>(p)]->start();
+    cons[static_cast<std::size_t>(p)]->propose(1000 + p);
+  }
+  std::vector<std::thread> loops;
+  for (auto& env : envs) {
+    loops.emplace_back([&env, &deciders] {
+      env->run_until([&deciders] { return deciders.load() == kN; }, sec(10));
+    });
+  }
+  for (auto& t : loops) t.join();
+  ASSERT_EQ(deciders.load(), kN) << "consensus must terminate over UDP";
+  for (const consensus::Value v : decided) {
+    EXPECT_EQ(v, decided.front());
+    EXPECT_GE(v, 1000);
+    EXPECT_LT(v, 1000 + kN);
+  }
 }
 
 TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {

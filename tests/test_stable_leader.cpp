@@ -33,11 +33,14 @@ TEST(StableLeader, ImplementsOmegaFailureFree) {
 }
 
 TEST(StableLeader, ReElectsWhenLeaderCrashes) {
-  auto cfg = base_scenario(5, 2);
-  cfg.with_crash(0, sec(1));
-  auto res = run_fd_scenario(cfg, installer(), sec(8));
-  EXPECT_TRUE(res.classes.omega);
-  EXPECT_NE(res.classes.leader, 0);
+  for (const int n : {5, 64}) {
+    SCOPED_TRACE(n);
+    auto cfg = base_scenario(n, 2);
+    cfg.with_crash(0, sec(1));
+    auto res = run_fd_scenario(cfg, installer(), sec(8));
+    EXPECT_TRUE(res.classes.omega);
+    EXPECT_NE(res.classes.leader, 0);
+  }
 }
 
 TEST(StableLeader, SurvivesCascadingCrashes) {

@@ -33,9 +33,10 @@ bench/bench_e13_scale_fd (BENCH_FD_SCALE.json): the four-section shape
 with every required (stack, n) row present, plus the experiment's one
 machine-independent claim — the headline per-node message-cost ratio at
 n=4096, which comes from exact counts on the deterministic simulator and
-must show both scalable stacks >= 10x cheaper than the flat heartbeat.
-Wall-clock cells (sections 2 and 3) are checked for presence and type
-only, per the schema-not-values rule above.
+must show both scalable stacks >= 10x cheaper than the flat heartbeat,
+and strong completeness: every detection row has all observers detect
+the crash. The other cells are exact too, but are checked for presence
+and type only, per the schema-not-values rule above.
 
 --bench-obs validates the checked-in bench/bench_obs report
 (BENCH_OBS.json): the three-section shape (recorder_push, qos_ingest,
@@ -155,7 +156,7 @@ def check_trace(path: str) -> int:
     doc = load(path)
     if doc.get("schema") != "ecfd.trace.v1":
         fail(f"{path}: schema tag '{doc.get('schema')}' != 'ecfd.trace.v1'")
-    if doc.get("source") not in ("sim", "runtime", "socket"):
+    if doc.get("source") not in ("sim", "socket"):
         fail(f"{path}: unknown source '{doc.get('source')}'")
     if doc.get("clock") not in ("virtual", "monotonic"):
         fail(f"{path}: unknown clock '{doc.get('clock')}'")
@@ -293,14 +294,14 @@ PINNED = {
               ("hier_c", 16384),
               ("swim", 256), ("swim", 1024), ("swim", 4096),
               ("swim", 16384))),
-            ("E13 detection latency (threaded runtime)",
+            ("E13 detection latency (deterministic sim)",
              ("stack", "n", "period_ms", "detect_first_ms", "detect_p50_ms",
               "detect_max_ms", "detected", "observers",
               "msgs_per_node_per_sec"),
              (("heartbeat_p", 256), ("heartbeat_p", 1024),
               ("hier_c", 256), ("hier_c", 1024),
               ("swim", 256), ("swim", 1024))),
-            ("E13 per-host memory (threaded runtime, constructed stacks)",
+            ("E13 per-host memory (deterministic sim, constructed stacks)",
              ("stack", "n", "heap_mb", "kb_per_host"),
              (("heartbeat_p", 256), ("heartbeat_p", 1024),
               ("heartbeat_p", 4096), ("heartbeat_p", 16384),

@@ -24,9 +24,9 @@
 //                 synthetic crash event stamped by the signal handler
 //
 // Merging: virtual-time traces (simulator) pass through unchanged;
-// monotonic traces (threaded runtime, UDP nodes) are aligned by their
-// recorded wall-clock epochs, so the per-process traces of a real
-// cluster line up on one axis. Mixing the two kinds is allowed but the
+// monotonic traces (UDP nodes) are aligned by their recorded wall-clock
+// epochs, so the per-process traces of a real cluster line up on one
+// axis. Mixing the two kinds is allowed but the
 // axes are unrelated, so a warning is printed.
 //
 // Exit code: 0 on success, 1 when any input failed to parse, 2 on usage
