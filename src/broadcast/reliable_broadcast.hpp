@@ -33,6 +33,14 @@ struct RbEnvelope {
   std::shared_ptr<const void> body{};
   PayloadKind body_kind{PayloadKind::kNone};
 
+  template <class V>
+  void fields(V& v) {
+    v(origin, kPerProcess);
+    v(seq);
+    v(tag);
+    v(body, body_kind);
+  }
+
   /// The body as a T, or null when it is of another kind (or absent); as
   /// for Message::as, a delivery callback drops such a broadcast.
   template <class T>

@@ -7,9 +7,8 @@
 /// and consensus/chandra_toueg share these exact shapes — both are rounds
 /// of timestamped estimates, propositions and ack/nacks).
 ///
-/// They are public (rather than nested in the protocol classes) so the
-/// wire codec (wire/codec.hpp) can serialize them for the real-network
-/// transport without befriending every engine. Each names its PayloadKind.
+/// Each names its PayloadKind and states its fields (net/message.hpp), the
+/// one description the wire codec encodes and decodes.
 
 namespace ecfd::consensus {
 
@@ -19,6 +18,13 @@ struct EstimateBody {
   int round{};
   Value value{};
   int ts{};
+
+  template <class V>
+  void fields(V& v) {
+    v(round);
+    v(value);
+    v(ts);
+  }
 };
 
 /// Phase 2: a coordinator's (non-null) proposition.
@@ -26,6 +32,12 @@ struct ProposeBody {
   static constexpr PayloadKind kKind = PayloadKind::kPropose;
   int round{};
   Value value{};
+
+  template <class V>
+  void fields(V& v) {
+    v(round);
+    v(value);
+  }
 };
 
 /// Round-only bodies: coordinator announcements, null estimates, null
@@ -33,6 +45,11 @@ struct ProposeBody {
 struct RoundOnly {
   static constexpr PayloadKind kKind = PayloadKind::kRoundOnly;
   int round{};
+
+  template <class V>
+  void fields(V& v) {
+    v(round);
+  }
 };
 
 /// R-broadcast decision payload.
@@ -40,6 +57,12 @@ struct DecideBody {
   static constexpr PayloadKind kKind = PayloadKind::kDecide;
   int round{};
   Value value{};
+
+  template <class V>
+  void fields(V& v) {
+    v(round);
+    v(value);
+  }
 };
 
 }  // namespace ecfd::consensus

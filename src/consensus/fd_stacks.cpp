@@ -28,9 +28,9 @@ const std::vector<FdStackInfo>& all_fd_stacks() {
       {FdStack::kHeartbeatAdaptive, "heartbeat_adaptive", "adaptive",
        "heartbeat ◇P with Chen-style adaptive timeouts", true},
       {FdStack::kHierC, "hier_c", "hier",
-       "two-level hierarchical ◇C: √n cells, O(n) msgs/period", false},
+       "two-level hierarchical ◇C: √n cells, O(n) msgs/period", true},
       {FdStack::kSwim, "swim", "swim",
-       "SWIM gossip membership as ◇C: O(1) msgs per node per period", false},
+       "SWIM gossip membership as ◇C: O(1) msgs per node per period", true},
       {FdStack::kStableLeader, "stable_leader", "stable",
        "ADFT stable Omega; suspects everyone but the leader", true},
       {FdStack::kEcfd, "ecfd", "ecfd",

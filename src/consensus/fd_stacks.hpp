@@ -57,9 +57,8 @@ struct FdStackInfo {
   const char* name;   ///< canonical (fuzz digests, repro files)
   const char* alias;  ///< short CLI alias, may equal name
   const char* summary;
-  /// Runs on ecfd_node: every message body is in the wire codec's registry
-  /// and no scenario knowledge is needed (false for the script, and for
-  /// hier_c and swim, whose bodies have no wire encoding yet).
+  /// Runs on ecfd_node: no scenario knowledge is needed (false for the
+  /// script only; every message body has a wire encoding).
   bool udp;
 };
 

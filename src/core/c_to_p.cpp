@@ -132,13 +132,8 @@ void CToP::set_output(const ProcessSet& out) {
 }
 
 void CToP::on_message(const Message& m) {
-  // A list over another universe comes from a forged or corrupt frame;
-  // adopting it would break every set operation on the output.
   const auto* list = m.as<ProcessSet>();
-  if (m.type == kList &&
-      (list == nullptr || list->universe_size() != env_.n())) {
-    return;
-  }
+  if (m.type == kList && list == nullptr) return;
   // Any message of ours, an I-AM-ALIVE or a list, shows its sender alive.
   const auto i = static_cast<std::size_t>(m.src);
   last_alive_[i] = env_.now();

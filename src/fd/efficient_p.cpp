@@ -73,10 +73,8 @@ void EfficientP::on_message(const Message& m) {
   const auto i = static_cast<std::size_t>(m.src);
   switch (m.type) {
     case kLeaderList: {
-      // A list over another universe comes from a forged or corrupt frame;
-      // adopting it would break every set operation on the output.
       const auto* list = m.as<ProcessSet>();
-      if (list == nullptr || list->universe_size() != env_.n()) break;
+      if (list == nullptr) break;
       last_heard_[i] = env_.now();
       if (candidate_susp_.contains(m.src)) {
         // A lower-ranked candidate is back: roll back, widen its timeout.

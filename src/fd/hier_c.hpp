@@ -49,6 +49,12 @@ struct HierDigest {
   static constexpr PayloadKind kKind = PayloadKind::kHierDigest;
   ProcessSet susp;
   ProcessId leader{kNoProcess};
+
+  template <class V>
+  void fields(V& v) {
+    v(susp, kPerProcess);
+    v(leader, kPerProcess);
+  }
 };
 
 class HierC final : public Protocol, public core::EcfdOracle {

@@ -36,10 +36,8 @@ void OmegaFromS::tick() {
 
 void OmegaFromS::on_message(const Message& m) {
   const auto* row = m.as<std::vector<std::uint64_t>>();
+  if (m.type != kCounts || row == nullptr) return;
   auto& known = rows_[static_cast<std::size_t>(m.src)];
-  if (m.type != kCounts || row == nullptr || row->size() != known.size()) {
-    return;
-  }
   for (std::size_t i = 0; i < known.size(); ++i) {
     known[i] = std::max(known[i], (*row)[i]);
   }

@@ -64,12 +64,18 @@ class RingFd final : public Protocol, public SuspectOracle, public LeaderOracle 
   /// Current poll target (exposed for tests).
   [[nodiscard]] ProcessId target() const;
 
-  /// The circulated QUERY/REPLY body (public so the wire codec can
-  /// serialize it for the real-network transport).
+  /// The circulated QUERY/REPLY body: one sequence number per process and
+  /// the suspected set.
   struct Body {
     static constexpr PayloadKind kKind = PayloadKind::kRingBody;
     std::vector<std::uint64_t> seq;
     ProcessSet susp;
+
+    template <class V>
+    void fields(V& v) {
+      v(seq, kPerProcess);
+      v(susp, kPerProcess);
+    }
   };
 
  private:

@@ -1,6 +1,7 @@
 #include "fd/swim.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace ecfd::fd {
@@ -12,6 +13,8 @@ SwimFd::SwimFd(Env& env, Config cfg)
       cfg_(cfg),
       ack_timeout_(cfg.ack_timeout),
       suspected_(env.n()) {
+  assert(cfg.max_piggyback >= 0 &&
+         static_cast<std::size_t>(cfg.max_piggyback) + 1 <= kMaxSwimUpdates);
   const double lg = std::log2(static_cast<double>(std::max(2, env.n())));
   gossip_budget_ = 3 * static_cast<int>(std::ceil(lg)) + 4;
 }

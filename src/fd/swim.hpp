@@ -49,7 +49,19 @@ struct SwimUpdate {
   ProcessId subject{kNoProcess};
   std::uint32_t incarnation{0};
   std::uint8_t state{0};  ///< SwimFd::kAlive / kSuspect / kDead
+
+  template <class V>
+  void fields(V& v) {
+    v(subject, kPerProcess);
+    v(incarnation);
+    v(state);
+  }
 };
+
+/// Most updates one body carries: SwimFd piggybacks at most max_piggyback
+/// and attaches one more about the subject, and its constructor asserts
+/// that they fit.
+inline constexpr std::size_t kMaxSwimUpdates = 64;
 
 /// Body shared by ping / ping-req / ack messages.
 struct SwimBody {
@@ -58,6 +70,14 @@ struct SwimBody {
   ProcessId origin{kNoProcess};   ///< prober the ack must reach
   ProcessId subject{kNoProcess};  ///< probe target (ping-req relays)
   std::vector<SwimUpdate> updates;
+
+  template <class V>
+  void fields(V& v) {
+    v(seq);
+    v(origin, kPerProcess);
+    v(subject, kPerProcess);
+    v(updates, kMaxSwimUpdates);
+  }
 };
 
 class SwimFd final : public Protocol, public core::EcfdOracle {

@@ -31,10 +31,7 @@ void WToS::tick() {
 
 void WToS::on_message(const Message& m) {
   const auto* suspects = m.as<ProcessSet>();
-  if (m.type != kSuspects || suspects == nullptr ||
-      suspects->universe_size() != env_.n()) {
-    return;
-  }
+  if (m.type != kSuspects || suspects == nullptr) return;
   output_ |= *suspects;
   output_.remove(m.src);  // the message itself proves m.src alive
   output_.remove(env_.self());

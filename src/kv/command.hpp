@@ -6,6 +6,7 @@
 
 #include "consensus/consensus.hpp"
 #include "net/process_set.hpp"
+#include "wire/codec.hpp"
 
 /// \file command.hpp
 /// The ecfd-kv wire vocabulary: what clients send to servers, what servers
@@ -20,9 +21,9 @@
 /// id up in its delivered-bodies table — agreement on ids plus reliable
 /// dissemination of bodies gives agreement on state.
 ///
-/// The four message shapes name PayloadKinds kKvRequest..kKvSnapshot, so
-/// they share the CRC-framed, fuzz-hardened binary codec (wire/codec.hpp)
-/// with every other protocol in the library.
+/// The four message shapes name PayloadKinds kKvRequest..kKvSnapshot and
+/// state their fields, so they share the CRC-framed, fuzz-hardened binary
+/// codec (wire/codec.hpp) with every other protocol in the library.
 
 namespace ecfd::kv {
 
@@ -31,7 +32,7 @@ namespace ecfd::kv {
 /// wire::kVersion).
 inline constexpr std::uint8_t kProtoVersion = 1;
 
-/// Hard bounds enforced on both encode and apply, so a malicious client
+/// Hard bounds enforced on both decode and apply, so a malicious client
 /// frame can never blow up a replica.
 inline constexpr std::size_t kMaxKeyBytes = 128;
 inline constexpr std::size_t kMaxValueBytes = 1024;
@@ -82,6 +83,15 @@ struct Op {
   std::string key;
   std::string value;
   std::string expected;  ///< kCas only
+
+  template <class V>
+  void fields(V& v) {
+    v(op, OpKind::kCloseSession);
+    v(seq);
+    v(key, kMaxKeyBytes);
+    v(value, kMaxValueBytes);
+    v(expected, kMaxValueBytes);
+  }
 };
 
 /// Request flags.
@@ -99,12 +109,27 @@ struct Request {
   std::uint64_t session{0};
   std::uint64_t tag{0};  ///< echoed in the Reply; client-side matching
   std::vector<Op> ops;
+
+  template <class V>
+  void fields(V& v) {
+    v(version);
+    v(flags);
+    v(session);
+    v(tag);
+    v(ops, kMaxOpsPerRequest);
+  }
 };
 
 /// Per-op outcome.
 struct OpResult {
   Status status{Status::kOk};
   std::string value;
+
+  template <class V>
+  void fields(V& v) {
+    v(status, Status::kTimeout);
+    v(value, kMaxValueBytes);
+  }
 
   friend bool operator==(const OpResult& a, const OpResult& b) {
     return a.status == b.status && a.value == b.value;
@@ -121,6 +146,16 @@ struct Reply {
   std::int32_t applied_slot{-1};     ///< slot that committed this request
                                      ///< (-1 for lease reads / dedup hits)
   std::vector<OpResult> results;     ///< one per op when status == kOk
+
+  template <class V>
+  void fields(V& v) {
+    v(session);
+    v(tag);
+    v(status, Status::kTimeout);
+    v(leader_hint, kPerProcess);
+    v(applied_slot);
+    v(results, kMaxOpsPerRequest);
+  }
 };
 
 /// One replicated command: an Op plus its session. What actually enters
@@ -132,6 +167,18 @@ struct Cmd {
   std::string key;
   std::string value;
   std::string expected;
+
+  /// An Op's fields after the session: requests and batches share one
+  /// shape and one set of bounds.
+  template <class V>
+  void fields(V& v) {
+    v(session);
+    v(op, OpKind::kCloseSession);
+    v(seq);
+    v(key, kMaxKeyBytes);
+    v(value, kMaxValueBytes);
+    v(expected, kMaxValueBytes);
+  }
 };
 
 /// The body a consensus slot's decided id refers to: a batch of commands,
@@ -141,6 +188,13 @@ struct BatchBody {
   static constexpr PayloadKind kKind = PayloadKind::kKvBatch;
   std::int64_t id{0};  ///< unique, positive; see make_batch_id
   std::vector<Cmd> cmds;
+
+  template <class V>
+  void fields(V& v) {
+    v(id);
+    v(cmds, kMaxOpsPerBatch);
+  }
+  [[nodiscard]] bool valid() const { return id > 0; }
 };
 
 /// One chunk of a serialized KvStore snapshot, sent by the leader to a
@@ -154,6 +208,20 @@ struct SnapshotChunk {
   std::uint32_t index{0};
   std::uint32_t total{0};
   std::vector<std::uint8_t> bytes;
+
+  template <class V>
+  void fields(V& v) {
+    v(snap_id);
+    v(upto_slot);
+    v(index);
+    v(total);
+    v(bytes, kMaxSnapshotChunkBytes);
+  }
+  /// total sizes the receiver's reassembly table, so it is capped like
+  /// every other element count: 65,536 chunks of 32 KiB, a 2 GiB image.
+  [[nodiscard]] bool valid() const {
+    return upto_slot >= 0 && index < total && total <= wire::kMaxElements;
+  }
 };
 
 /// Batch ids must be unique across replicas and positive (so they never

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "wire/codec.hpp"
+
 namespace ecfd {
 
 Env::~Env() = default;
@@ -34,6 +36,9 @@ void Env::start_protocols() {
 bool Env::dispatch(const Message& m) {
   const auto it = by_id_.find(m.protocol);
   if (it == by_id_.end()) return false;
+  // A body that does not fit n comes from a forged or corrupt frame; like a
+  // body of another kind, it is dropped without a count or an event.
+  if (!wire::fits_universe(m, n())) return true;
   record(EventType::kDeliver, m.src, m.protocol);
   it->second->on_message(m);
   return true;

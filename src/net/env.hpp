@@ -150,7 +150,9 @@ class Env {
 
   /// Hands \p m to the protocol registered under m.protocol, recording
   /// kDeliver first. Returns false, delivering nothing, when no protocol
-  /// has that id; the caller decides whether to count the drop.
+  /// has that id; the caller decides whether to count the drop. A body
+  /// whose per-process fields do not fit n (wire::fits_universe) is
+  /// dropped silently, before any on_message.
   bool dispatch(const Message& m);
 
  private:

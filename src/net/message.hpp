@@ -22,7 +22,9 @@
 /// The payload's PayloadKind is the one registry of body types: make<T>
 /// stamps it, as<T> checks it, the wire codec encodes by it. A frame may
 /// carry any kind under any (protocol, type), so as<T> returns null on a
-/// mismatch and every reader drops such a body like an unknown type.
+/// mismatch and every reader drops such a body like an unknown type. A
+/// body whose per-process fields do not fit the universe never reaches a
+/// reader: Env::dispatch drops it (see kPerProcess below).
 /// Frames carry no label, so a decoded message's label is empty.
 
 namespace ecfd {
@@ -37,7 +39,8 @@ using ProtocolId = int;
 /// The name of a body type. Each body states its kind once, as a
 /// `static constexpr PayloadKind kKind` member or a kind_of specialization
 /// below, so Message::make<T> of a type without one does not compile.
-/// Values are part of the wire format: never renumber, only append.
+/// Every kind has a wire encoding. Values are part of the wire format:
+/// never renumber, only append.
 enum class PayloadKind : std::uint16_t {
   kNone = 0,         ///< Message::make_empty
   kProcessSet = 1,   ///< c_to_p list, efficient_p leader list, w_to_s suspects
@@ -53,9 +56,29 @@ enum class PayloadKind : std::uint16_t {
   kKvReply = 11,     ///< kv::Reply (server -> client envelope)
   kKvBatch = 12,     ///< kv::BatchBody (replicated command batch, over RB)
   kKvSnapshot = 13,  ///< kv::SnapshotChunk (store snapshot transfer)
-  kHierDigest = 14,  ///< fd::HierDigest (no wire encoding yet)
-  kSwimBody = 15,    ///< fd::SwimBody (no wire encoding yet)
+  kHierDigest = 14,  ///< fd::HierDigest (hier_c digest beats)
+  kSwimBody = 15,    ///< fd::SwimBody (SWIM ping / ping-req / ack)
 };
+
+/// Marks a field that names a process or holds one entry per process; see
+/// the field lists below.
+struct PerProcess {};
+inline constexpr PerProcess kPerProcess{};
+
+// Field lists. Every body states its fields once, in wire order, as a
+// member `template <class V> void fields(V& v)` that calls, per field:
+//   v(x)               a scalar: u8, i32, u32, i64 or u64;
+//   v(s, cap)          a string, a byte vector, or a vector of structs
+//                      that have field lists of their own, of at most cap
+//                      elements;
+//   v(e, max)          a u8 enum whose largest value is max;
+//   v(x, kPerProcess)  a process id in [kNoProcess, n), a ProcessSet over
+//                      n, or a u64 vector of length n;
+//   v(body, kind)      a nested body of its own kind (RbEnvelope's).
+// Invariants that tie fields together go in a `bool valid() const` beside
+// the list. The wire codec walks the list to encode and to decode, within
+// the caps; Env::dispatch walks it to drop a body that does not fit n. The
+// ProcessSet, u64 vector and i64 bodies state theirs in wire/codec.cpp.
 
 template <class T>
 inline constexpr PayloadKind kind_of = T::kKind;

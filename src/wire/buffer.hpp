@@ -126,6 +126,19 @@ class WireReader {
     pos_ += k;
   }
 
+  /// Splits off the next \p k bytes as a reader of their own and advances
+  /// past them. Bounds-checked and sticky-failing: when fewer than \p k
+  /// bytes remain, both readers fail.
+  WireReader sub(std::size_t k) {
+    WireReader out(data_ + pos_, need(k) ? k : 0);
+    if (ok_) {
+      pos_ += k;
+    } else {
+      out.fail();
+    }
+    return out;
+  }
+
   /// Declares failure from the decoder (semantic error, e.g. a bad tag).
   void fail() { ok_ = false; }
 

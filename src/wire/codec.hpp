@@ -20,10 +20,10 @@
 ///    crashes or reads out of bounds on corrupt input (fuzzed in
 ///    tests/test_wire_codec.cpp);
 ///  * the payload is tagged with the PayloadKind the message already
-///    carries (net/message.hpp), the one registry of body types; the codec
-///    switches on it and is the one place that knows how to flatten each
-///    body. kHierDigest and kSwimBody have no encoding yet, so an encode of
-///    them fails;
+///    carries (net/message.hpp), the one registry of body types. Every kind
+///    encodes: one writer and one reader walk the field list each body
+///    states (net/message.hpp), so a body's layout and bounds are written
+///    once, and a nested body fills exactly the length it states;
 ///  * frames carry no label: the sender counts by label in process, so a
 ///    decoded message's label is empty.
 ///
@@ -57,7 +57,8 @@ inline constexpr std::uint32_t kMaxElements = 1u << 16;  ///< vector/set caps
 inline constexpr int kMaxUniverse = 1 << 16;             ///< max ProcessSet n
 
 /// Encodes \p m into a self-contained frame. Returns false (and sets
-/// \p error when non-null) if its payload kind has no wire encoding.
+/// \p error when non-null) for a payload kind outside PayloadKind, or a
+/// frame over kMaxFrameBytes.
 /// \p causal_seq, when nonzero, sets kFlagCausalSeq and embeds the
 /// sender's send sequence number (sequences start at 1; 0 = untagged).
 bool encode_message(const Message& m, std::vector<std::uint8_t>* out,
@@ -79,5 +80,10 @@ inline std::optional<Message> decode_message(
     std::uint64_t* causal_seq = nullptr) {
   return decode_message(frame.data(), frame.size(), error, causal_seq);
 }
+
+/// True when every per-process field of \p m's body (kPerProcess in its
+/// field list, nested bodies included) fits a universe of \p n processes.
+/// Env::dispatch drops a body that does not.
+bool fits_universe(const Message& m, int n);
 
 }  // namespace ecfd::wire

@@ -148,6 +148,38 @@ TEST(HierC, DeterministicAtN256) {
   EXPECT_TRUE(susp_a[0].contains(129));
 }
 
+TEST(HierC, DigestsOfAnotherUniverseAreIgnored) {
+  // Digests that do not fit n, sent by p1's cell candidate p0 (a forged
+  // UDP frame can carry them): a universe of 1 once aborted on
+  // ProcessSet::remove's range assert, and a leader of p9 made p1 trust a
+  // process outside the universe.
+  const int n = 4;
+  auto cfg = base_scenario(n, 12);
+  cfg.gst = 0;
+  auto sys = make_system(cfg);
+  std::vector<fd::HierC*> fds;
+  for (ProcessId p = 0; p < n; ++p) {
+    fds.push_back(&sys->host(p).emplace<fd::HierC>());
+  }
+  sys->start();
+  sys->run_until(sec(1));
+  for (const fd::HierDigest& digest :
+       {fd::HierDigest{ProcessSet::full(1), 0},
+        fd::HierDigest{ProcessSet(n), 9}}) {
+    Message forged = Message::make(protocol_ids::kHierC, /*cell beat=*/1,
+                                   "hier.cell_beat", digest);
+    forged.src = 0;
+    forged.dst = 1;
+    sys->network().send(forged);
+    for (int step = 0; step < 100; ++step) {
+      sys->run_for(usec(100));
+      EXPECT_GE(fds[1]->trusted(), 0) << "step " << step;
+      EXPECT_LT(fds[1]->trusted(), n) << "step " << step;
+      EXPECT_EQ(fds[1]->suspected().universe_size(), n) << "step " << step;
+    }
+  }
+}
+
 TEST(HierC, UnmutatedPassesStuckPropagatorScenario) {
   // The exact scenario check/fuzz.cpp uses to catch Mutant::
   // kStuckCellPropagator, with the hook OFF: the healthy detector must

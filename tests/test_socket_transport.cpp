@@ -27,7 +27,9 @@
 #include "core/consensus_c.hpp"
 #include "core/replicated_log.hpp"
 #include "fd/heartbeat_p.hpp"
+#include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd/swim.hpp"
 #include "kv/service.hpp"
 #include "net/protocol_ids.hpp"
 #include "net/scenario.hpp"
@@ -190,11 +192,10 @@ TEST(SocketTransport, ConsensusDecidesOneProposedValueOverUdp) {
 
 TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {
   // ecfd_node accepts exactly the registry stacks marked udp. Each must
-  // get every message through the wire codec; hier_c and swim are marked
-  // sim-only because their bodies have no encoding, which this also pins.
+  // get every message through the wire codec.
   std::uint16_t base = 21300;
   for (const consensus::FdStackInfo& info : consensus::all_fd_stacks()) {
-    if (info.id == consensus::FdStack::kScriptedStable) continue;
+    if (!info.udp) continue;
     SCOPED_TRACE(info.name);
     const auto peers = loopback_peers(2, base);
     base += 2;
@@ -211,16 +212,11 @@ TEST(SocketTransport, RegistryStacksMarkedUdpEncodeEveryMessage) {
       a.run_for(msec(5));
       b.run_for(msec(5));
     }
-    const std::int64_t failed = a.metrics().get("net.encode_error") +
-                                b.metrics().get("net.encode_error");
-    if (info.udp) {
-      EXPECT_EQ(failed, 0);
-      EXPECT_GT(a.metrics().get("net.recv.p1") +
-                    b.metrics().get("net.recv.p0"),
-                0);
-    } else {
-      EXPECT_GT(failed, 0) << "encodes now: mark it udp";
-    }
+    EXPECT_EQ(a.metrics().get("net.encode_error") +
+                  b.metrics().get("net.encode_error"),
+              0);
+    EXPECT_GT(
+        a.metrics().get("net.recv.p1") + b.metrics().get("net.recv.p0"), 0);
   }
 }
 
@@ -430,8 +426,8 @@ class RawSender {
 };
 
 /// One body of every kind the codec encodes, over \p n processes, then
-/// sets and vectors over other sizes. Protocol, type and addresses are
-/// filled in per frame.
+/// bodies that do not fit n. Protocol, type and addresses are filled in
+/// per frame.
 std::vector<Message> forged_bodies(int n) {
   const auto body = [](auto b) { return Message::make(0, 0, "forged", b); };
   std::vector<Message> out;
@@ -458,6 +454,9 @@ std::vector<Message> forged_bodies(int n) {
   kv::SnapshotChunk chunk;
   chunk.total = 1;
   out.push_back(body(chunk));
+  out.push_back(body(fd::HierDigest{one_suspect, 0}));
+  out.push_back(body(
+      fd::SwimBody{1, 0, 1, {fd::SwimUpdate{n - 1, 1, fd::SwimFd::kSuspect}}}));
   // Broadcasts carrying each body above, under the tag every RB consumer
   // reads (consensus decisions and KV batches are both tag 1).
   const std::size_t flat = out.size();
@@ -470,7 +469,7 @@ std::vector<Message> forged_bodies(int n) {
     env.body_kind = out[i].payload_kind;
     out.push_back(body(env));
   }
-  // Sizes other than n.
+  // Bodies that do not fit n.
   out.push_back(body(ProcessSet::full(1)));
   out.push_back(body(ProcessSet::full(n + 1)));
   out.push_back(body(std::vector<std::uint64_t>(1, 1)));
@@ -478,6 +477,11 @@ std::vector<Message> forged_bodies(int n) {
   out.push_back(body(fd::RingFd::Body{{1}, ProcessSet(n)}));
   out.push_back(body(fd::RingFd::Body{std::vector<std::uint64_t>(n, 1),
                                       ProcessSet::full(1)}));
+  out.push_back(body(fd::HierDigest{ProcessSet::full(1), 0}));
+  out.push_back(body(fd::HierDigest{one_suspect, n + 5}));
+  out.push_back(body(fd::SwimBody{1, n + 5, 1, {}}));
+  out.push_back(body(
+      fd::SwimBody{1, 0, 1, {fd::SwimUpdate{n + 5, 1, fd::SwimFd::kSuspect}}}));
   return out;
 }
 

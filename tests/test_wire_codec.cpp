@@ -13,6 +13,7 @@
 #include "consensus/bodies.hpp"
 #include "fd/hier_c.hpp"
 #include "fd/ring_fd.hpp"
+#include "fd/swim.hpp"
 #include "kv/command.hpp"
 #include "net/process_set.hpp"
 #include "net/protocol_ids.hpp"
@@ -209,23 +210,216 @@ TEST(WireCodec, RbEnvelopeWithScalarAndEmptyBody) {
 }
 
 TEST(WireCodec, UnknownPayloadTypeIsAnEncodeError) {
-  // hier_c's digest has a kind but no wire encoding, so it cannot leave
+  // Every PayloadKind encodes; a kind value outside the enum cannot leave
   // the process, alone or nested in a broadcast.
-  const Message m = Message::make(protocol_ids::kHierC, 1, "hier.cell_beat",
-                                  fd::HierDigest{ProcessSet(4), 0});
+  const auto unknown = static_cast<PayloadKind>(99);
+  Message m = Message::make(protocol_ids::kTesting, 1, "t.unknown",
+                            std::int64_t{7});
+  m.payload_kind = unknown;
   std::vector<std::uint8_t> frame;
   std::string error;
   EXPECT_FALSE(encode_message(m, &frame, &error));
   EXPECT_FALSE(error.empty());
 
   RbEnvelope env;
-  env.body_kind = PayloadKind::kHierDigest;
+  env.body_kind = unknown;
   env.body = m.payload;
   error.clear();
   EXPECT_FALSE(encode_message(
       Message::make(protocol_ids::kReliableBroadcast, 1, "rb.relay", env),
       &frame, &error));
   EXPECT_FALSE(error.empty());
+}
+
+// --- golden frames ----------------------------------------------------------
+//
+// Version 2's bytes, pinned: one frame per body shape, with a non-default
+// value in every field. A changed row is a wire-format change, which needs
+// a kVersion bump.
+
+std::string hex(const std::vector<std::uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+template <class T>
+Message framed(ProtocolId protocol, int type, T body) {
+  Message m = Message::make(protocol, type, "golden", std::move(body));
+  m.src = 1;
+  m.dst = 2;
+  return m;
+}
+
+template <class T>
+RbEnvelope envelope_of(ProcessId origin, std::uint64_t seq, int tag, T body) {
+  RbEnvelope env;
+  env.origin = origin;
+  env.seq = seq;
+  env.tag = tag;
+  env.body_kind = kind_of<T>;
+  env.body = std::make_shared<const T>(std::move(body));
+  return env;
+}
+
+TEST(WireCodec, GoldenFramesPinVersion2) {
+  fd::RingFd::Body ring;
+  ring.seq = {9, 8, 7};
+  ring.susp = ProcessSet(3);
+  ring.susp.add(2);
+
+  kv::Request request;
+  request.flags = kv::kFlagLeaseRead;
+  request.session = 0x1122334455667788ull;
+  request.tag = 42;
+  request.ops.push_back(kv::Op{kv::OpKind::kPut, 7, "k", "v", ""});
+  request.ops.push_back(kv::Op{kv::OpKind::kCas, 8, "c", "new", "old"});
+
+  kv::Reply reply;
+  reply.session = 99;
+  reply.tag = 43;
+  reply.status = kv::Status::kCasMismatch;
+  reply.leader_hint = 2;
+  reply.applied_slot = 17;
+  reply.results.push_back({kv::Status::kOk, "a"});
+  reply.results.push_back({kv::Status::kNotFound, ""});
+
+  kv::BatchBody batch;
+  batch.id = kv::make_batch_id(2, 514);
+  batch.cmds.push_back(kv::Cmd{5, 1, kv::OpKind::kPut, "k", "v", ""});
+  batch.cmds.push_back(kv::Cmd{5, 2, kv::OpKind::kDel, "k", "", ""});
+
+  kv::SnapshotChunk chunk;
+  chunk.snap_id = 3;
+  chunk.upto_slot = 128;
+  chunk.index = 1;
+  chunk.total = 4;
+  chunk.bytes = {1, 2, 3};
+
+  RbEnvelope bare;
+  bare.origin = 2;
+  bare.seq = 9;
+  bare.tag = 3;
+
+  fd::HierDigest digest{ProcessSet(4), 2};
+  digest.susp.add(1);
+  digest.susp.add(3);
+
+  const fd::SwimBody swim{
+      77, 1, 3, {{2, 5, fd::SwimFd::kSuspect}, {3, 1, fd::SwimFd::kAlive}}};
+
+  struct Row {
+    const char* name;
+    Message m;
+    std::uint64_t causal_seq;
+    const char* hex;
+  };
+  const std::vector<Row> rows = {
+      {"empty", base(protocol_ids::kHeartbeatP, 1, "hb_p.alive"), 0,
+       "fdec020001000000020000000100000001000000000000000000f493414c"},
+      {"process set", framed(protocol_ids::kCToP, 2, sample_set()), 0,
+       "fdec020001000000020000000600000002000000010014000000070000000300"
+       "0000000000000300000006000000265ab97b"},
+      {"u64 vector",
+       framed(protocol_ids::kStableLeader, 1,
+              std::vector<std::uint64_t>{0, 41, ~std::uint64_t{0}}),
+       0,
+       "fdec020001000000020000000d0000000100000002001c000000030000000000"
+       "0000000000002900000000000000ffffffffffffffff17d09d8a"},
+      {"ring body", framed(protocol_ids::kRingFd, 1, ring), 0,
+       "fdec020001000000020000000200000001000000030028000000030000000900"
+       "0000000000000800000000000000070000000000000003000000010000000200"
+       "00004a0c955e"},
+      {"estimate",
+       framed(protocol_ids::kConsensusC, 2,
+              consensus::EstimateBody{4, -123456789012345ll, 3}),
+       0,
+       "fdec020001000000020000000800000002000000040010000000040000008720"
+       "f279b78fffff03000000afa01d81"},
+      {"propose",
+       framed(protocol_ids::kConsensusCT, 2, consensus::ProposeBody{2, 99}),
+       0,
+       "fdec02000100000002000000090000000200000005000c000000020000006300"
+       "000000000000c813a3a8"},
+      {"round only",
+       framed(protocol_ids::kConsensusC, 6, consensus::RoundOnly{17}), 0,
+       "fdec02000100000002000000080000000600000006000400000011000000d0d7"
+       "22bd"},
+      {"decide",
+       framed(protocol_ids::kConsensusC, 8, consensus::DecideBody{5, -4242}),
+       0,
+       "fdec02000100000002000000080000000800000007000c000000050000006eef"
+       "ffffffffffff5f571737"},
+      {"i64",
+       framed(protocol_ids::kKvService, kv::kMsgApplied, std::int64_t{31337}),
+       0,
+       "fdec020001000000020000000f00000003000000090008000000697a00000000"
+       "0000b16fa478"},
+      {"kv request",
+       framed(protocol_ids::kKvService, kv::kMsgClientRequest, request), 0,
+       "fdec020001000000020000000f000000010000000a003d000000010188776655"
+       "443322112a000000000000000200000001070000000000000001006b01007600"
+       "0003080000000000000001006303006e657703006f6c6434c82ca8"},
+      {"kv reply", framed(protocol_ids::kKvService, kv::kMsgClientReply, reply),
+       0,
+       "fdec020001000000020000000f000000020000000b0024000000630000000000"
+       "00002b0000000000000002020000001100000002000000000100610100001166"
+       "30de"},
+      {"kv batch", framed(protocol_ids::kKvBatchRb, 2, batch), 0,
+       "fdec0200010000000200000010000000020000000c003d000000020200000003"
+       "000002000000050000000000000001010000000000000001006b010076000005"
+       "0000000000000002020000000000000001006b000000002a980ad3"},
+      {"kv snapshot",
+       framed(protocol_ids::kKvService, kv::kMsgSnapshotChunk, chunk), 0,
+       "fdec020001000000020000000f000000040000000d001b000000030000000000"
+       "0000800000000100000004000000030000000102039c18bd42"},
+      {"rb decide",
+       framed(protocol_ids::kReliableBroadcast, 1,
+              envelope_of(3, 12, 1, consensus::DecideBody{5, 4242})),
+       0,
+       "fdec020001000000020000000700000001000000080022000000030000000c00"
+       "0000000000000100000007000c000000050000009210000000000000dc0ea100"},
+      {"rb batch",
+       framed(protocol_ids::kKvBatchRb, 1,
+              envelope_of(2, 514, kv::kRbTagBatch, batch)),
+       0,
+       "fdec020001000000020000001000000001000000080053000000020000000202"
+       "000000000000010000000c003d00000002020000000300000200000005000000"
+       "0000000001010000000000000001006b01007600000500000000000000020200"
+       "00000000000001006b0000000093c3e4fd"},
+      {"rb empty", framed(protocol_ids::kReliableBroadcast, 1, bare), 0,
+       "fdec020001000000020000000700000001000000080016000000020000000900"
+       "000000000000030000000000000000006a01d3c3"},
+      {"causal seq", base(protocol_ids::kCToP, 1, "ctp.alive"), 0xABCDEF12345,
+       "fdec02014523f1debc0a00000100000002000000060000000100000000000000"
+       "00006e26d9d6"},
+      {"hier digest", framed(protocol_ids::kHierC, 1, digest), 0,
+       "fdec0200010000000200000012000000010000000e0014000000040000000200"
+       "0000010000000300000002000000bc734b10"},
+      {"swim body", framed(protocol_ids::kSwim, 1, swim), 0,
+       "fdec0200010000000200000013000000010000000f00260000004d0000000000"
+       "0000010000000300000002000000020000000500000001030000000100000000"
+       "9b0ad4ec"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    std::vector<std::uint8_t> frame;
+    std::string error;
+    ASSERT_TRUE(encode_message(row.m, &frame, &error, row.causal_seq))
+        << error;
+    EXPECT_EQ(hex(frame), row.hex);
+    // Decoding and re-encoding gives back the same bytes.
+    std::uint64_t causal_seq = 0;
+    const auto decoded = decode_message(frame, &error, &causal_seq);
+    ASSERT_TRUE(decoded.has_value()) << error;
+    std::vector<std::uint8_t> again;
+    ASSERT_TRUE(encode_message(*decoded, &again, &error, causal_seq)) << error;
+    EXPECT_EQ(again, frame);
+  }
 }
 
 /// Re-stamps the trailing CRC so decode failures exercise the *structural*
@@ -504,6 +698,24 @@ TEST(WireCodec, RejectsTrailingGarbage) {
   f.insert(f.end() - 4, {0xAA, 0xBB, 0xCC});
   fix_crc(f);
   EXPECT_FALSE(decode_message(f).has_value());
+}
+
+TEST(WireCodec, RejectsANestedLengthThatDisagreesWithItsBody) {
+  // An envelope states the length of its nested body; the body must fill
+  // exactly that many bytes. The frame ends with the u32 length, the
+  // 12-byte DecideBody and the CRC.
+  const auto f = encode_ok(
+      framed(protocol_ids::kReliableBroadcast, 1,
+             envelope_of(3, 12, 1, consensus::DecideBody{5, 4242})));
+  const std::size_t len_at = f.size() - 4 - 12 - 4;
+  ASSERT_EQ(f[len_at], 12);
+  for (const std::uint8_t len : {0, 4, 11, 13}) {
+    auto g = f;
+    g[len_at] = len;
+    fix_crc(g);
+    EXPECT_FALSE(decode_message(g).has_value()) << "length " << int{len};
+  }
+  EXPECT_TRUE(decode_message(f).has_value());
 }
 
 TEST(WireCodec, SingleBitFlipsNeverDecodeDifferently) {

@@ -15,11 +15,11 @@
 //   --fd F       a stack of the shared registry (consensus/fd_stacks.hpp)
 //                that runs over UDP, built with the config's [cluster]
 //                timings: ring, heartbeat_p, omega_heartbeat, efficient_p,
-//                heartbeat_adaptive, stable_leader (ADFT stable Omega;
-//                suspects everyone but the leader) and ecfd (the paper's
-//                stack: stable Omega -> Fig. 2 -> ◇P); CLI aliases work
-//                too (overrides the config's `fd` key). The script, hier_c
-//                and swim are sim-only.
+//                heartbeat_adaptive, hier_c, swim, stable_leader (ADFT
+//                stable Omega; suspects everyone but the leader) and ecfd
+//                (the paper's stack: stable Omega -> Fig. 2 -> ◇P); CLI
+//                aliases work too (overrides the config's `fd` key). Only
+//                the script is sim-only.
 //   --backend B  poll          poll(2) + sendmmsg/recvmmsg UDP event loop
 //                uring         io_uring: multishot receive into registered
 //                              buffers, one submit syscall per tick of
