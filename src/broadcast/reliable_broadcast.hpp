@@ -10,8 +10,19 @@
 
 /// \file reliable_broadcast.hpp
 /// Reliable Broadcast by message diffusion (Chandra-Toueg [6]): on first
-/// delivery of a broadcast, a process relays it to everyone before handing
-/// it to the application. Guarantees:
+/// delivery of a broadcast, a process relays it before handing it to the
+/// application.
+///
+/// Who relays to whom: the origin sends m to every other process. A process
+/// that receives its first copy of m relays it to everyone except itself,
+/// the origin, and the process the copy came from. Both excluded processes
+/// hold m already: the origin delivered it when it broadcast, and a relayer
+/// marks m seen before it sends it on and delivers it right after. So every
+/// copy full diffusion would send to a process that still lacks m is still
+/// sent, and the guarantees below hold under exactly the link models they
+/// held under before. When every first copy comes straight from the origin,
+/// a broadcast costs (n-1)^2 frames instead of n(n-1); a first copy that
+/// comes from a relayer saves one more. Guarantees:
 ///   * validity    — a correct broadcaster's message is delivered by all
 ///                   correct processes;
 ///   * agreement   — if any correct process delivers m, all correct do;
@@ -72,7 +83,7 @@ class ReliableBroadcast final : public Protocol {
     env_out.tag = tag;
     env_out.body_kind = kind_of<T>;
     env_out.body = std::make_shared<const T>(std::move(body));
-    diffuse_and_deliver(env_out);
+    diffuse_and_deliver(env_out, env_.self());
   }
 
   void on_message(const Message& m) override;
@@ -81,7 +92,9 @@ class ReliableBroadcast final : public Protocol {
   [[nodiscard]] std::size_t delivered_count() const { return seen_.size(); }
 
  private:
-  void diffuse_and_deliver(const RbEnvelope& envelope);
+  /// Delivers \p envelope once, relaying it first; \p from is the process
+  /// the copy came from (self for this process's own broadcast).
+  void diffuse_and_deliver(const RbEnvelope& envelope, ProcessId from);
   [[nodiscard]] static std::uint64_t key(const RbEnvelope& e) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.origin))
             << 32) |

@@ -34,7 +34,7 @@ void ConsensusC::start() {
 void ConsensusC::arm_poll() {
   if (poll_armed_ || !started_) return;
   poll_armed_ = true;
-  env_.set_timer(cfg_.poll_period, [this]() { poll(); });
+  poll_timer_ = env_.set_timer(cfg_.poll_period, [this]() { poll(); });
 }
 
 void ConsensusC::propose(consensus::Value v) {
@@ -59,9 +59,18 @@ void ConsensusC::begin_round_one() {
 void ConsensusC::on_fd_change() { step(); }
 
 void ConsensusC::poll() {
-  if (halted_) return;
+  poll_timer_ = kInvalidTimer;
   step();
-  if (!halted_) env_.set_timer(cfg_.poll_period, [this]() { poll(); });
+  if (!halted_) {
+    poll_timer_ = env_.set_timer(cfg_.poll_period, [this]() { poll(); });
+  }
+}
+
+void ConsensusC::halt() {
+  halted_ = true;
+  // A halted instance never steps again: its pending poll would fire empty.
+  env_.cancel_timer(poll_timer_);
+  poll_timer_ = kInvalidTimer;
 }
 
 int ConsensusC::wait_quorum() const {

@@ -181,7 +181,8 @@ class ConsensusC final : public consensus::ConsensusProtocol {
   void begin_round_one();
   void finish_phase2();
   void finish_phase4(const AckTally& tally);
-  void halt() { halted_ = true; }
+  /// Stops the instance for good and cancels its armed poll.
+  void halt();
 
   Config cfg_;
   const EcfdOracle* fd_;
@@ -217,6 +218,7 @@ class ConsensusC final : public consensus::ConsensusProtocol {
   std::function<void()> on_wakeup_;
   bool wakeup_fired_{false};
   bool poll_armed_{false};
+  TimerId poll_timer_{kInvalidTimer};  ///< the armed poll, if any
 };
 
 }  // namespace ecfd::core

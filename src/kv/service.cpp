@@ -1,6 +1,7 @@
 #include "kv/service.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace ecfd::kv {
 namespace {
@@ -15,6 +16,16 @@ bool op_too_large(const Op& op) {
   return op.key.size() > kMaxKeyBytes || op.value.size() > kMaxValueBytes ||
          op.expected.size() > kMaxValueBytes;
 }
+
+// The gauges refresh_gauges() writes, in the order it writes them.
+constexpr std::array<const char*, 12> kGaugeNames = {
+    "kv.store.keys",          "kv.sessions",
+    "kv.applied_slot",        "kv.log.entries",
+    "kv.log.compacted_upto",  "kv.lease.valid",
+    "kv.bodies.pending",      "kv.apply.stalled",
+    "kv.store.applied_writes", "kv.store.dedup_hits",
+    "kv.store.out_of_order",  "kv.store.log_reads",
+};
 
 }  // namespace
 
@@ -233,7 +244,7 @@ void KvService::drain_applies() {
     apply_batch(e.slot, it->second);
     bodies_.erase(it);
   }
-  maybe_snapshot();
+  maybe_compact();
   refresh_gauges();
 }
 
@@ -260,23 +271,17 @@ void KvService::apply_batch(int slot, const BatchBody& body) {
 
 // ------------------------------------------------------------- snapshots
 
-void KvService::maybe_snapshot() {
+void KvService::maybe_compact() {
   if (cfg_.snapshot_every <= 0) return;
-  if (applied_slot() - last_snapshot_upto_ < cfg_.snapshot_every) return;
+  if (applied_slot() - compacted_upto_ < cfg_.snapshot_every) return;
   snapshot_now();
 }
 
 void KvService::snapshot_now() {
   const int upto = applied_slot();
-  if (upto <= last_snapshot_upto_) return;
-  Snapshot s;
-  s.id = ++snap_counter_;
-  s.upto_slot = upto;
-  s.bytes = store_.serialize();
-  snapshot_ = std::move(s);
-  last_snapshot_upto_ = upto;
+  if (upto <= compacted_upto_) return;
+  compacted_upto_ = upto;
   log_->compact(upto);
-  if (m_snaps_taken_) m_snaps_taken_->fetch_add(1, std::memory_order_relaxed);
   refresh_gauges();
 }
 
@@ -288,33 +293,37 @@ void KvService::gossip_tick() {
 }
 
 void KvService::on_peer_applied(ProcessId peer, std::int64_t applied) {
-  peer_applied_[peer] = applied;
   // Catch a lagging replica up when it is behind our compaction floor:
-  // the slots it is missing no longer exist as log entries here.
-  if (snapshot_.has_value() && applied < last_snapshot_upto_ &&
-      snap_sent_[peer] != snapshot_->id) {
-    snap_sent_[peer] = snapshot_->id;
+  // the slots it is missing no longer exist as log entries here. One image
+  // per peer per floor.
+  int& sent_at = snap_sent_[peer];
+  if (applied < compacted_upto_ && sent_at != compacted_upto_) {
+    sent_at = compacted_upto_;
     send_snapshot_to(peer);
   }
 }
 
 void KvService::send_snapshot_to(ProcessId peer) {
-  const Snapshot& s = *snapshot_;
+  // The image is built for this laggard, now: it covers every slot applied
+  // here so far, which is at or past the compaction floor.
+  const std::uint64_t id = ++snap_counter_;
+  const int upto = applied_slot();
+  const std::vector<std::uint8_t> bytes = store_.serialize();
+  if (m_snaps_taken_) m_snaps_taken_->fetch_add(1, std::memory_order_relaxed);
   const std::size_t nchunks =
-      s.bytes.empty() ? 1
-                      : (s.bytes.size() + kMaxSnapshotChunkBytes - 1) /
-                            kMaxSnapshotChunkBytes;
+      bytes.empty() ? 1
+                    : (bytes.size() + kMaxSnapshotChunkBytes - 1) /
+                          kMaxSnapshotChunkBytes;
   for (std::size_t i = 0; i < nchunks; ++i) {
     SnapshotChunk c;
-    c.snap_id = s.id;
-    c.upto_slot = s.upto_slot;
+    c.snap_id = id;
+    c.upto_slot = upto;
     c.index = static_cast<std::uint32_t>(i);
     c.total = static_cast<std::uint32_t>(nchunks);
     const std::size_t off = i * kMaxSnapshotChunkBytes;
-    const std::size_t len =
-        std::min(kMaxSnapshotChunkBytes, s.bytes.size() - off);
-    c.bytes.assign(s.bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                   s.bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
+    const std::size_t len = std::min(kMaxSnapshotChunkBytes, bytes.size() - off);
+    c.bytes.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
     env_.send(peer, Message::make<SnapshotChunk>(protocol_ids::kKvService,
                                                  kMsgSnapshotChunk, "kv.snap",
                                                  std::move(c)));
@@ -356,7 +365,7 @@ void KvService::on_snapshot_chunk(const SnapshotChunk& chunk) {
   while (!apply_queue_.empty() && apply_queue_.front().slot < upto)
     apply_queue_.pop_front();
   log_->install_snapshot(upto);
-  last_snapshot_upto_ = std::max(last_snapshot_upto_, upto);
+  compacted_upto_ = std::max(compacted_upto_, upto);
   if (m_snaps_installed_)
     m_snaps_installed_->fetch_add(1, std::memory_order_relaxed);
   env_.trace("kv.snapshot_install", "upto=" + std::to_string(upto));
@@ -428,11 +437,11 @@ void KvService::on_message(const Message& m) {
 // --------------------------------------------------------------- metrics
 
 void KvService::bind_metrics(obs::MetricsRegistry* m) {
-  metrics_ = m;
   if (m == nullptr) {
     m_requests_ = m_redirects_ = m_lease_reads_ = m_batches_ = m_batch_ops_ =
         m_overload_ = m_lease_grants_ = m_lease_revokes_ = m_snaps_taken_ =
             m_snaps_installed_ = nullptr;
+    gauges_.fill(nullptr);
     return;
   }
   m_requests_ = m->counter("kv.requests");
@@ -445,28 +454,33 @@ void KvService::bind_metrics(obs::MetricsRegistry* m) {
   m_lease_revokes_ = m->counter("kv.lease.revokes");
   m_snaps_taken_ = m->counter("kv.snapshots.taken");
   m_snaps_installed_ = m->counter("kv.snapshots.installed");
+  static_assert(kGaugeNames.size() == decltype(gauges_){}.size());
+  for (std::size_t i = 0; i < gauges_.size(); ++i) {
+    gauges_[i] = m->gauge(kGaugeNames[i]);
+  }
   refresh_gauges();
 }
 
 void KvService::refresh_gauges() {
-  if (metrics_ == nullptr) return;
-  metrics_->set_gauge("kv.store.keys",
-                      static_cast<std::int64_t>(store_.size()));
-  metrics_->set_gauge("kv.sessions",
-                      static_cast<std::int64_t>(store_.session_count()));
-  metrics_->set_gauge("kv.applied_slot", applied_slot());
-  metrics_->set_gauge("kv.log.entries",
-                      static_cast<std::int64_t>(log_->log().size()));
-  metrics_->set_gauge("kv.log.compacted_upto", log_->compacted_upto());
-  metrics_->set_gauge("kv.lease.valid", lease_valid_ ? 1 : 0);
-  metrics_->set_gauge("kv.bodies.pending",
-                      static_cast<std::int64_t>(bodies_.size()));
-  metrics_->set_gauge("kv.apply.stalled",
-                      static_cast<std::int64_t>(apply_queue_.size()));
-  metrics_->set_gauge("kv.store.applied_writes", store_.stats().applied_writes);
-  metrics_->set_gauge("kv.store.dedup_hits", store_.stats().dedup_hits);
-  metrics_->set_gauge("kv.store.out_of_order", store_.stats().out_of_order);
-  metrics_->set_gauge("kv.store.log_reads", store_.stats().log_reads);
+  if (gauges_.front() == nullptr) return;
+  const KvStore::Stats& st = store_.stats();
+  const std::array<std::int64_t, kGaugeNames.size()> values = {
+      static_cast<std::int64_t>(store_.size()),
+      static_cast<std::int64_t>(store_.session_count()),
+      applied_slot(),
+      static_cast<std::int64_t>(log_->log().size()),
+      log_->compacted_upto(),
+      lease_valid_ ? 1 : 0,
+      static_cast<std::int64_t>(bodies_.size()),
+      static_cast<std::int64_t>(apply_queue_.size()),
+      st.applied_writes,
+      st.dedup_hits,
+      st.out_of_order,
+      st.log_reads,
+  };
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    gauges_[i]->store(values[i], std::memory_order_relaxed);
+  }
 }
 
 }  // namespace ecfd::kv

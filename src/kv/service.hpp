@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,13 +50,16 @@
 /// metrics. Requests that cannot use the lease fall back to
 /// through-the-log reads.
 ///
-/// Snapshots: every `snapshot_every` applied slots the service serializes
-/// the store, compacts the log prefix, and keeps the image; replicas
-/// gossip applied watermarks, and a replica that lags behind the
-/// compaction floor is caught up by chunked snapshot install
-/// (install-on-join).
+/// Snapshots: every `snapshot_every` applied slots the service compacts the
+/// log prefix it has applied; that point is its compaction floor. Replicas
+/// gossip applied watermarks. The store is serialized only when a peer's
+/// watermark shows it below this replica's floor: the slots it misses no
+/// longer exist here as log entries, so it gets a snapshot image of the
+/// store as applied at that moment (at or past the floor), in chunks, once
+/// per peer and floor (install-on-join). A cluster with no laggard builds
+/// no image; `kv.snapshots.taken` counts the images built.
 ///
-/// The service runs unchanged on all three Env backends. Peer traffic
+/// The service runs unchanged on both Env backends. Peer traffic
 /// (watermarks, snapshot chunks) flows through Env::send; client traffic
 /// enters via handle_client() (the UDP node's external-frame handler) or
 /// handle_request() (tests) and leaves through the pluggable reply sink.
@@ -75,7 +79,7 @@ class KvService final : public Protocol {
     DurUs batch_wait{2'000};         ///< flush at most this long after first
     DurUs lease_establish{500'000};  ///< trusted-self streak before a grant
     DurUs lease_check_every{50'000};
-    int snapshot_every{64};          ///< applied slots between snapshots
+    int snapshot_every{64};          ///< applied slots between compactions
     DurUs gossip_every{200'000};     ///< applied-watermark broadcast period
     std::size_t dedup_window{64};    ///< per-session cached results
     std::size_t max_queued_cmds{4096};  ///< admission bound before kOverloaded
@@ -122,7 +126,8 @@ class KvService final : public Protocol {
   /// Forces the pending batch out now (tests; avoids waiting batch_wait).
   void flush_batch();
 
-  /// Takes a snapshot + compacts now, regardless of snapshot_every.
+  /// Compacts the log up to the applied slot now, regardless of
+  /// snapshot_every. No image is built until a laggard needs one.
   void snapshot_now();
 
  private:
@@ -134,19 +139,13 @@ class KvService final : public Protocol {
     std::size_t count{};
   };
 
-  struct Snapshot {
-    std::uint64_t id{0};
-    int upto_slot{0};
-    std::vector<std::uint8_t> bytes;
-  };
-
   void reply_to(const Waiter& w, Reply r);
   void enqueue(const Waiter& w, const Request& req);
   void on_batch_delivered(const broadcast::RbEnvelope& e);
   void on_log_entry(const core::LogReplica::Entry& e);
   void drain_applies();
   void apply_batch(int slot, const BatchBody& body);
-  void maybe_snapshot();
+  void maybe_compact();
   void lease_tick();
   void revoke_lease();
   void gossip_tick();
@@ -180,11 +179,9 @@ class KvService final : public Protocol {
   std::int64_t lease_term_{0};
 
   // Snapshots.
-  std::optional<Snapshot> snapshot_;       ///< latest taken here
-  std::uint64_t snap_counter_{0};
-  int last_snapshot_upto_{0};
-  std::map<ProcessId, std::int64_t> peer_applied_;
-  std::map<ProcessId, std::uint64_t> snap_sent_;   ///< last snap id sent
+  std::uint64_t snap_counter_{0};  ///< images built here (chunk ids)
+  int compacted_upto_{0};          ///< the compaction floor
+  std::map<ProcessId, int> snap_sent_;  ///< floor of the last image sent
   struct Inbound {
     std::uint64_t id{0};
     int upto_slot{0};
@@ -195,7 +192,6 @@ class KvService final : public Protocol {
   std::optional<Inbound> inbound_;
 
   // Metrics (owned by the registry; null when unbound).
-  obs::MetricsRegistry* metrics_{nullptr};
   obs::MetricsRegistry::Cell* m_requests_{nullptr};
   obs::MetricsRegistry::Cell* m_redirects_{nullptr};
   obs::MetricsRegistry::Cell* m_lease_reads_{nullptr};
@@ -206,6 +202,8 @@ class KvService final : public Protocol {
   obs::MetricsRegistry::Cell* m_lease_revokes_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_taken_{nullptr};
   obs::MetricsRegistry::Cell* m_snaps_installed_{nullptr};
+  /// The gauges refresh_gauges() writes, registered once by bind_metrics.
+  std::array<obs::MetricsRegistry::Cell*, 12> gauges_{};
 };
 
 }  // namespace ecfd::kv

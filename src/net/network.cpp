@@ -13,10 +13,6 @@ Network::Network(sim::Scheduler& sched, int n, Rng rng,
       links_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
       blocked_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0) {
   assert(n > 0);
-  // Default: reliable links with modest jitter.
-  set_links([](ProcessId, ProcessId) {
-    return std::make_unique<ReliableLink>(usec(200), msec(2));
-  });
 }
 
 void Network::set_links(const LinkFactory& factory) {
@@ -65,7 +61,7 @@ void Network::send(const Message& m) {
     delay = std::nullopt;
   } else {
     LinkModel* link = links_[idx(m.src, m.dst)].get();
-    assert(link && "missing link model");
+    if (link == nullptr) link = &default_link_;
     delay = link->sample_delay(sched_.now(), rng_);
   }
 

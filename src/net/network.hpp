@@ -10,8 +10,9 @@
 #include "sim/scheduler.hpp"
 
 /// \file network.hpp
-/// The simulated message-passing fabric: n processes, one LinkModel per
-/// ordered pair, loss/partition injection and message accounting.
+/// The simulated message-passing fabric: n processes, a LinkModel per
+/// ordered pair (one shared default reliable link until links are set),
+/// loss/partition injection and message accounting.
 
 namespace ecfd {
 
@@ -92,7 +93,12 @@ class Network {
   MessageCounters counters_;
   obs::Recorder* recorder_{nullptr};
   DeliverySink sink_;
+  /// Per ordered pair; null until set_links/set_link, and a null entry
+  /// uses default_link_.
   std::vector<std::unique_ptr<LinkModel>> links_;
+  /// Reliable links with modest jitter. ReliableLink keeps no per-link
+  /// state, so one instance serves every pair that has no link of its own.
+  ReliableLink default_link_{usec(200), msec(2)};
   std::vector<char> blocked_;
   Chaos chaos_;
   DurUs self_delay_{1};

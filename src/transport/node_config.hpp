@@ -47,7 +47,7 @@
 ///   batch_max_ops = 64
 ///   batch_wait_ms = 2
 ///   lease_establish_ms = 500
-///   snapshot_every = 64       ; applied slots between snapshots/compactions
+///   snapshot_every = 64       ; applied slots between log compactions
 ///   dedup_window = 64         ; cached results per client session
 ///
 /// Peer ids must be exactly 0..n-1; every node of the cluster loads the

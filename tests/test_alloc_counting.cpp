@@ -207,5 +207,33 @@ TEST(AllocCounting, BroadcastUsesOneSharedBody) {
   EXPECT_EQ(after.released - mid.released, 1u);
 }
 
+TEST(AllocCounting, NetworkAllocatesNoLinkUntilOneIsSet) {
+  // Every pair without a link of its own shares the network's one default
+  // reliable link, so building the fabric allocates its two n x n tables
+  // and nothing per pair; set_links then allocates one link per pair.
+  const int n = 128;
+  sim::Scheduler sched;
+  obs::MetricsRegistry metrics;
+  const std::uint64_t before = sim::alloc_count();
+  Network net(sched, n, Rng(3), metrics);
+  EXPECT_LT(sim::alloc_count() - before, 16u);
+
+  int delivered = 0;
+  net.set_sink([&delivered](const Message&) { ++delivered; });
+  Message m = Message::make<Body>(900, 3, "pool.link", Body{1, 2});
+  m.src = 0;
+  m.dst = n - 1;
+  net.send(m);
+  sched.run_until(sec(1));
+  EXPECT_EQ(delivered, 1) << "the shared default link delivers";
+
+  const std::uint64_t links_before = sim::alloc_count();
+  net.set_links([](ProcessId, ProcessId) {
+    return std::make_unique<ReliableLink>(usec(100), usec(100));
+  });
+  EXPECT_EQ(sim::alloc_count() - links_before,
+            static_cast<std::uint64_t>(n) * (n - 1));
+}
+
 }  // namespace
 }  // namespace ecfd

@@ -70,7 +70,7 @@ TEST(ReliableBroadcast, AgreementUnderLossyLinksViaDiffusion) {
   s.rb[0]->r_broadcast(1, std::int64_t{1});
   s.sys->run_until(sec(2));
   // Diffusion: everyone relays on first receipt, so even heavy loss cannot
-  // keep a correct process from delivering (n*(n-1) chances).
+  // keep a correct process from delivering (up to n-1 copies each).
   for (int p = 0; p < 5; ++p) {
     EXPECT_EQ(s.delivered[p].size(), 1u) << "process " << p;
   }
@@ -83,6 +83,27 @@ TEST(ReliableBroadcast, AgreementWhenOriginCrashesAfterSending) {
   s.sys->run_until(sec(1));
   for (int p = 0; p < 3; ++p) {
     EXPECT_EQ(s.delivered[p].size(), 1u) << "process " << p;
+  }
+}
+
+TEST(ReliableBroadcast, RelaysSkipTheOriginAndTheSender) {
+  // With one fixed link delay, every first copy comes straight from the
+  // origin, which sends n - 1 frames; each receiver relays to the n - 2
+  // processes that are neither itself nor the origin. (n - 1)^2 in all,
+  // where relaying to everyone but oneself cost n(n - 1).
+  for (int n : {3, 5, 7}) {
+    SCOPED_TRACE(n);
+    ScenarioConfig cfg;
+    cfg.links = LinkKind::kReliable;
+    cfg.min_delay = cfg.max_delay = msec(1);
+    RbWorld s = make(n, 9, cfg);
+    s.rb[1]->r_broadcast(1, std::int64_t{5});
+    s.sys->run_until(sec(1));
+    EXPECT_EQ(s.sys->metrics().get("msg.rb.relay.sent"), (n - 1) * (n - 1));
+    for (int p = 0; p < n; ++p) {
+      ASSERT_EQ(s.delivered[p].size(), 1u) << "process " << p;
+      EXPECT_EQ(s.delivered[p][0], 5);
+    }
   }
 }
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <vector>
+
 #include "consensus/harness.hpp"
 #include "core/ecfd_compose.hpp"
 #include "fd/scripted_fd.hpp"
@@ -225,6 +229,58 @@ TEST(ConsensusC, StaggeredProposalsDoNotLoseAnnouncements) {
     EXPECT_EQ(cons[static_cast<std::size_t>(p)]->decision()->value,
               cons[0]->decision()->value);
   }
+}
+
+TEST(ConsensusC, DecidedInstancesStopPolling) {
+  // Deciding halts an instance, and halting cancels its armed poll: once
+  // every process has decided, the next poll period fires nothing but the
+  // deliveries still in flight. (A halted instance's pending poll used to
+  // fire once, empty, on every process.)
+  const int n = 5;
+  ScenarioConfig sc;
+  sc.n = n;
+  sc.seed = 21;
+  sc.links = LinkKind::kReliable;
+  sc.min_delay = sc.max_delay = msec(1);
+  auto sys = make_system(sc);
+  core::ConsensusC::Config cc;
+  cc.poll_period = msec(20);  // far longer than a round at 1 ms links
+
+  std::vector<ConsensusProtocol*> cons;
+  std::vector<std::shared_ptr<void>> keepalive;
+  for (ProcessId p = 0; p < n; ++p) {
+    auto& scripted = sys->host(p).emplace<fd::ScriptedFd>(
+        fd::stable_script(n, p, ProcessSet(n), /*leader=*/0, /*from=*/0));
+    auto oracle =
+        std::make_shared<core::EcfdFromSAndOmega>(&scripted, &scripted);
+    keepalive.push_back(oracle);
+    auto& rb = sys->host(p).emplace<broadcast::ReliableBroadcast>();
+    cons.push_back(
+        &sys->host(p).emplace<core::ConsensusC>(oracle.get(), &rb, cc));
+  }
+  sys->start();
+  for (ProcessId p = 0; p < n; ++p) {
+    cons[static_cast<std::size_t>(p)]->propose(100 + p);
+  }
+  const auto all_decided = [&cons] {
+    return std::all_of(cons.begin(), cons.end(),
+                       [](const ConsensusProtocol* c) {
+                         return c->has_decided();
+                       });
+  };
+  while (!all_decided() && sys->scheduler().now() < sec(1)) {
+    sys->run_for(usec(100));
+  }
+  ASSERT_TRUE(all_decided());
+  ASSERT_LT(sys->scheduler().now(), cc.poll_period) << "decided by polling";
+
+  const std::uint64_t fired = sys->scheduler().fired();
+  const std::int64_t delivered = sys->network().delivered_total();
+  sys->run_for(cc.poll_period);
+  const auto deliveries =
+      static_cast<std::uint64_t>(sys->network().delivered_total() - delivered);
+  EXPECT_EQ(sys->scheduler().fired() - fired - deliveries, 0u)
+      << "polls fired after every process decided";
 }
 
 TEST(ConsensusC, DuelingCoordinatorsDoNotDeadlock) {

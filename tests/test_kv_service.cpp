@@ -260,6 +260,31 @@ TEST(KvService, PartitionedReplicaCatchesUpViaSnapshotInstall) {
   EXPECT_EQ(c->services[2]->store().session_last_seq(kSess), 24u);
 }
 
+TEST(KvService, NoLaggardNoSnapshotImage) {
+  // Every replica keeps up, so each compacts its log on schedule but none
+  // is ever below a peer's compaction floor: no store image is built or
+  // sent.
+  auto c = make_cluster(3, 5, /*snapshot_every=*/8);
+  for (KvService* s : c->services) s->bind_metrics(&c->sys->metrics());
+  c->sys->start();
+  c->sys->run_until(msec(600));
+  c->services[0]->handle_request(1, open_req(1));
+  c->sys->run_until(sec(1));
+  for (std::uint64_t q = 1; q <= 24; ++q) {
+    c->services[0]->handle_request(
+        1, write_req(1 + q, q, "key" + std::to_string(q), "v"));
+    c->sys->run_until(sec(1) + msec(50 * static_cast<int>(q)));
+  }
+  c->sys->run_until(sec(4));  // many watermark gossip rounds
+  for (int p = 0; p < 3; ++p) {
+    EXPECT_EQ(c->services[p]->store().stats().applied_writes, 24) << "p" << p;
+    EXPECT_GE(c->logs[p]->compacted_upto(), 16) << "p" << p;
+  }
+  EXPECT_EQ(c->sys->metrics().get("kv.snapshots.taken"), 0);
+  EXPECT_EQ(c->sys->metrics().get("msg.kv.snap.sent"), 0);
+  EXPECT_EQ(c->sys->metrics().get("kv.snapshots.installed"), 0);
+}
+
 TEST(KvService, LeaderKeepsServingAfterHostileAndMaximalSnapshotChunks) {
   auto c = make_cluster(3, 7);
   c->sys->start();

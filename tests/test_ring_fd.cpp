@@ -87,7 +87,11 @@ TEST(RingFd, TargetSkipsSuspectedProcesses) {
 TEST(RingFd, BodiesOfAnotherSizeAreIgnored) {
   // A ring.query whose sequence vector or suspect set is not over n
   // processes (a forged UDP frame can carry one) must leave every output
-  // as it was; merging a one-element vector once read past its end.
+  // as it was; merging a one-element vector once read past its end. p2 has
+  // crashed and p0 and p1 suspect it. Each forged body carries the largest
+  // sequence number for p2, so merging it would retract that suspicion at
+  // once, and the first timeout would bring it back only tens of ms later:
+  // the outputs are checked every millisecond in between.
   const int n = 3;
   ScenarioConfig cfg = base_scenario(n, 6);
   cfg.gst = 0;
@@ -96,10 +100,14 @@ TEST(RingFd, BodiesOfAnotherSizeAreIgnored) {
   for (ProcessId p = 0; p < n; ++p) {
     rings.push_back(&sys->host(p).emplace<fd::RingFd>());
   }
+  sys->crash_at(2, msec(500));
   sys->start();
   sys->run_until(sec(2));
   std::vector<ProcessSet> before;
-  for (const fd::RingFd* r : rings) before.push_back(r->suspected());
+  for (ProcessId p = 0; p < 2; ++p) {
+    before.push_back(rings[p]->suspected());
+    ASSERT_TRUE(before.back().contains(2)) << "p" << p;
+  }
 
   fd::RingFd::Body short_seq;
   short_seq.seq = {~std::uint64_t{0}};
@@ -108,19 +116,21 @@ TEST(RingFd, BodiesOfAnotherSizeAreIgnored) {
   small_universe.seq.assign(n, ~std::uint64_t{0});
   small_universe.susp = ProcessSet::full(1);
   for (const fd::RingFd::Body& body : {short_seq, small_universe}) {
-    for (ProcessId p = 1; p < n; ++p) {
+    for (ProcessId p = 0; p < 2; ++p) {
       Message forged = Message::make(protocol_ids::kRingFd, /*query=*/1,
                                      "ring.query", body);
-      forged.src = 0;
+      forged.src = 1 - p;
       forged.dst = p;
       sys->network().send(forged);
     }
   }
-  sys->run_for(msec(100));  // past the largest link delay
-  for (ProcessId p = 0; p < n; ++p) {
-    EXPECT_EQ(rings[p]->suspected(), before[p]) << "p" << p;
-    EXPECT_EQ(rings[p]->suspected().universe_size(), n) << "p" << p;
-    EXPECT_EQ(rings[p]->trusted(), 0) << "p" << p;
+  for (int ms = 0; ms < 100; ++ms) {  // past the largest link delay
+    sys->run_for(msec(1));
+    for (ProcessId p = 0; p < 2; ++p) {
+      ASSERT_EQ(rings[p]->suspected(), before[p]) << "p" << p << " at +" << ms;
+      ASSERT_EQ(rings[p]->suspected().universe_size(), n) << "p" << p;
+      ASSERT_EQ(rings[p]->trusted(), 0) << "p" << p;
+    }
   }
 }
 

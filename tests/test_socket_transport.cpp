@@ -495,13 +495,17 @@ std::int64_t peer_frames_received(DgramEnv& env) {
 }
 
 TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
-  // Node 0 of a 3-node cluster whose peers stay silent runs each udp
+  // Node 1 of a 3-node cluster whose peers stay silent runs each udp
   // stack with ConsensusC and RB, as ecfd_node --consensus does; the
   // efficient_p node (ecfd_node's default fd) also runs the KV service.
   // A raw socket then sends, for every (protocol, type) those protocols
-  // handle and from node 0 (the process every stack trusts) and node 1,
-  // one frame per body of forged_bodies().
+  // handle and from every node (node 0 is the process every stack trusts
+  // first, node 1 the receiver itself), one frame per body of
+  // forged_bodies(). The receiver is not node 0: a set over a universe of
+  // one that a stack adopted from node 0 would then be out of range for
+  // the receiver's own id.
   const int n = 3;
+  const ProcessId self = 1;
   const std::vector<Message> bodies = forged_bodies(n);
   std::uint16_t base = 21400;
   for (const consensus::FdStackInfo& info : consensus::all_fd_stacks()) {
@@ -509,7 +513,7 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
     SCOPED_TRACE(info.name);
     const auto peers = loopback_peers(n, base);
     base += n;
-    SocketEnv env(options(0, peers));
+    SocketEnv env(options(self, peers));
     std::string error;
     ASSERT_TRUE(env.open(&error)) << error;
     const auto stack = consensus::install_fd_stack(info.id, env);
@@ -517,8 +521,9 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
     auto& cons = env.emplace<core::ConsensusC>(stack.ecfd, &rb);
     std::vector<ProtocolId> targets;
     // The KV service as ecfd_node wires it, with a lease after 20 ms of
-    // trusting itself so that node 0 alone can serve a read.
+    // trusting itself so that node 1 alone can serve a read.
     std::unique_ptr<core::LogReplica> log;
+    kv::KvService* service = nullptr;
     const bool kv = info.id == consensus::FdStack::kEfficientP;
     if (kv) {
       core::LogReplica::Config lc;
@@ -530,6 +535,7 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
       kc.lease_establish = msec(20);
       auto& kvs = env.emplace<kv::KvService>(stack.ecfd, log.get(), &batch_rb,
                                              kc);
+      service = &kvs;
       kvs.set_reply_sink([&env](kv::KvService::Token token,
                                 const kv::Reply& r) {
         env.send_external(token,
@@ -556,17 +562,17 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
     cons.propose(1);
     env.run_for(msec(50));
 
-    RawSender raw(peers[0].port);
+    RawSender raw(peers[self].port);
     std::int64_t fired = 0;
     const std::int64_t received_before = peer_frames_received(env);
     for (const ProtocolId pid : targets) {
       for (int type = 0; type <= 8; ++type) {
-        for (const ProcessId src : {0, 1}) {
+        for (ProcessId src = 0; src < n; ++src) {
           for (Message m : bodies) {
             m.protocol = pid;
             m.type = type;
             m.src = src;
-            m.dst = 0;
+            m.dst = self;
             raw.send(m);
             ++fired;
           }
@@ -587,12 +593,16 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
         m.protocol = protocol_ids::kKvService;
         m.type = kv::kMsgClientRequest;
         m.src = kNoProcess;
-        m.dst = 0;
+        m.dst = self;
         raw.send(m);
       }
       env.run_for(msec(50));
       EXPECT_EQ(env.metrics().get("net.sent_external"), 0);
-      // A real lease read is still answered.
+      // A real lease read is still answered, once node 1 holds the lease:
+      // it must first suspect the silent node 0, then trust itself for
+      // lease_establish.
+      EXPECT_TRUE(env.run_until([&] { return service->lease_valid(); },
+                                sec(5)));
       kv::Request get;
       get.session = 1;
       get.tag = 99;
@@ -601,7 +611,7 @@ TEST(SocketTransport, ForgedFramesOfEveryKindAreDropped) {
       get.ops.push_back(op);
       Message m = Message::make(protocol_ids::kKvService,
                                 kv::kMsgClientRequest, "kv.request", get);
-      m.dst = 0;
+      m.dst = self;
       raw.send(m);
       EXPECT_TRUE(env.run_until(
           [&] { return env.metrics().get("net.sent_external") == 1; },

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "broadcast/reliable_broadcast.hpp"
@@ -849,6 +850,66 @@ TEST(WireCodec, TaggedFrameRejectsEveryTruncation) {
       EXPECT_FALSE(decode_message(cut).has_value()) << "refit length " << len;
     }
   }
+}
+
+// --- CRC-32 ---------------------------------------------------------------
+
+/// The textbook bit-at-a-time CRC-32 (reflected 0xEDB88320), kept here as
+/// the reference crc32's slicing-by-8 must reproduce.
+std::uint32_t crc32_reference(const std::uint8_t* data, std::size_t len,
+                              std::uint32_t seed) {
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesTheBytewiseReferenceAtEveryLengthAndOffset) {
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(crc32(check, sizeof check), 0xCBF43926u);  // the IEEE check value
+
+  constexpr std::size_t kMaxLen = 2048;
+  Rng rng(31);
+  std::vector<std::uint8_t> buf(kMaxLen + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  int mismatches = 0;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const std::uint8_t* data = buf.data() + offset;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::uint32_t seed = static_cast<std::uint32_t>(rng.next());
+      if (crc32(data, len) != crc32_reference(data, len, 0) ||
+          crc32(data, len, seed) != crc32_reference(data, len, seed)) {
+        ADD_FAILURE() << "offset " << offset << " length " << len;
+        if (++mismatches == 10) return;
+      }
+    }
+  }
+}
+
+TEST(Crc32, ChainedSeedsContinueTheSameChecksum) {
+  Rng rng(32);
+  std::vector<std::uint8_t> buf(1500);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  EXPECT_EQ(whole, crc32_reference(buf.data(), buf.size(), 0));
+  // Split at every point of the first 40 bytes and at random points after.
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t cut = i < 40 ? static_cast<std::size_t>(i)
+                                   : rng.below(buf.size() + 1);
+    const std::uint32_t head = crc32(buf.data(), cut);
+    EXPECT_EQ(crc32(buf.data() + cut, buf.size() - cut, head), whole)
+        << "cut " << cut;
+  }
+  // Three pieces, each continuing from the last.
+  std::uint32_t c = 0;
+  for (const auto& [from, to] : {std::pair<std::size_t, std::size_t>{0, 7},
+                                 {7, 700},
+                                 {700, 1500}}) {
+    c = crc32(buf.data() + from, to - from, c);
+  }
+  EXPECT_EQ(c, whole);
 }
 
 }  // namespace
